@@ -26,15 +26,8 @@ from math import comb
 from typing import Sequence
 
 from .counting import avoidance_sequence, count_avoiders, count_quasi_avoiders
-from .egf import TruncatedEgf, dc_pop_egf, egf_from_counts
-from .errors import (
-    InvalidGfError,
-    InvalidInputError,
-    InvalidPosetError,
-    ParseError,
-    PopkitError,
-    ResourceLimitError,
-)
+from .egf import TruncatedEgf, dc_pop_egf, egf_exp, egf_from_counts, egf_one
+from .errors import InvalidInputError, PopkitError, ResourceLimitError
 from .notation import DcSpec, build_pop, parse_pop, poset_text, render_pop
 from .perms import DEFAULT_CAP
 from .recurrences import theorem_sequence, THEOREM_IDS
@@ -161,9 +154,9 @@ def _chain_egf(word: tuple[int, ...], order: int, cap: int) -> TruncatedEgf:
     """
     m = len(word)
     if m == 1:
-        return egf_from_counts([1] + [0] * order)
+        return egf_one(order)
     if m == 2:
-        return egf_from_counts([1] * (order + 1))
+        return egf_exp(order)
     if m == 3:
         return egf_from_counts([_catalan(n) for n in range(order + 1)])
     from .posets import dc_pop
@@ -395,9 +388,6 @@ def run_cli(argv: Sequence[str]) -> int:
     except ResourceLimitError as exc:
         print(f"popkit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ParseError, InvalidInputError, InvalidPosetError, InvalidGfError) as exc:
-        print(f"popkit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PopkitError as exc:
         print(f"popkit: {exc}", file=sys.stderr)
         return EXIT_USAGE

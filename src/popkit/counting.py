@@ -1,14 +1,28 @@
 """Exact brute-force avoidance counting.
 
-The counter builds permutations one entry at a time, left to right, in
-reduced form: a prefix of length m is a permutation of {1..m} recording
-the relative order of the entries placed so far.  Appending an entry of
-rank r bumps the existing values >= r up by one.  A prefix is discarded
-as soon as it contains the pattern; containment is hereditary (deleting
-an entry never creates an occurrence), so every avoider of length n
-extends an avoider of length n-1 and the prune is exact, not heuristic.
-Because the parent prefix avoided the pattern, the incremental test
-only has to look for occurrences that use the new final entry.
+One depth-first walk produces every count.  It builds permutations one
+entry at a time, left to right, in reduced form: a prefix of length m
+is a permutation of {1..m} recording the relative order of the entries
+placed so far, and appending an entry of rank r bumps the existing
+values >= r up by one.  Containment is hereditary (deleting an entry
+never creates an occurrence), so every avoider of length n extends an
+avoider of length n-1 and only avoiding prefixes are ever extended.
+
+Because the prefix avoids the pattern p of length k, an occurrence in
+an extension must put slot k on the new entry.  The walk therefore
+enumerates once, per prefix, the occurrences of slots 1..k-1 in it.
+Each one forbids the new ranks r with
+
+    max(values at slots below k) < r <= min(values at slots above k),
+
+where the maximum of no values is 0 and the minimum of none is m+1.
+Every rank outside the union of these intervals gives an avoiding
+child.  The walk keeps only the counts a(0..n_max) and an explicit
+stack of pending prefixes, so its depth is not bounded by Python's
+recursion limit.
+
+Quasi-avoiders (p occurs, but not in the one-shorter prefix) come from
+the same counts: a*(n) = n a(n-1) - a(n).
 
 The exact counts these routines produce are the ground truth against
 which every closed form in the package is checked.
@@ -18,10 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator
 
 from .errors import InvalidInputError, ResourceLimitError
-from .matcher import _contains_with_last, _slot_constraints, quasi_avoids
+from .matcher import _search, _slot_constraints
 from .perms import DEFAULT_CAP
 from .posets import Poset
 
@@ -77,41 +90,49 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
-def _avoiding_prefix_levels(p: Poset, n_max: int) -> Iterator[list[tuple[int, ...]]]:
-    """Yield the avoiding prefixes of each length 0..n_max in turn."""
+def _avoider_counts(p: Poset, n_max: int) -> list[int]:
+    """a(0..n_max) by one depth-first walk over the avoiding prefixes."""
     if p.k == 0:
         raise InvalidInputError(
             "the empty pattern occurs in every permutation"
         )
+    k = p.k
     table = _slot_constraints(p)
-    level: list[tuple[int, ...]] = [()]
-    yield level
-    for m in range(1, n_max + 1):
-        nxt = []
-        for prefix in level:
-            for rank in range(1, m + 1):
-                candidate = tuple(
-                    v if v < rank else v + 1 for v in prefix
-                ) + (rank,)
-                if not _contains_with_last(candidate, p, table):
-                    nxt.append(candidate)
-        level = nxt
-        yield level
+    below = [s - 1 for s, smaller_first in table[k] if smaller_first]
+    above = [s - 1 for s, smaller_first in table[k] if not smaller_first]
+    counts = [0] * (n_max + 1)
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        m = len(prefix)
+        counts[m] += 1
+        if m == n_max:
+            continue
+        # Bit r set: appending rank r completes an occurrence.
+        forbidden = 0
+        for occ in _search(prefix, k - 1, table):
+            lo = max((prefix[occ[s]] for s in below), default=0)
+            hi = min((prefix[occ[s]] for s in above), default=m + 1)
+            if lo < hi:
+                forbidden |= (1 << (hi + 1)) - (1 << (lo + 1))
+        for rank in range(1, m + 2):
+            if not forbidden >> rank & 1:
+                stack.append(
+                    tuple(v if v < rank else v + 1 for v in prefix) + (rank,)
+                )
+    return counts
 
 
 def count_avoiders(p: Poset, n: int, cap: int = DEFAULT_CAP) -> int:
     """Number of n-permutations with no occurrence of p."""
     _check_cap(n, cap)
-    for m, level in enumerate(_avoiding_prefix_levels(p, n)):
-        if m == n:
-            return len(level)
-    raise AssertionError("unreachable")
+    return _avoider_counts(p, n)[n]
 
 
 def avoidance_sequence(p: Poset, n_max: int, cap: int = DEFAULT_CAP) -> CountSequence:
     """Exact counts a(0..n_max) for p-avoiding permutations."""
     _check_cap(n_max, cap)
-    values = [len(level) for level in _avoiding_prefix_levels(p, n_max)]
+    values = _avoider_counts(p, n_max)
     return CountSequence(pattern=p, values=tuple(values), source="brute-force")
 
 
@@ -119,22 +140,12 @@ def count_quasi_avoiders(p: Poset, n: int, cap: int = DEFAULT_CAP) -> int:
     """Number of n-permutations that contain p while their length-(n-1)
     prefix pattern avoids it.
 
-    Every quasi-avoider extends an avoiding prefix, so only extensions
-    of avoiding (n-1)-prefixes are tested, each against the definition.
+    The n a(n-1) one-entry extensions of the avoiding (n-1)-prefixes are
+    exactly the n-permutations whose prefix avoids p; a(n) of them avoid
+    p too, so a*(n) = n a(n-1) - a(n).
     """
     if n < 1:
         raise InvalidInputError("quasi-avoidance needs length >= 1")
     _check_cap(n, cap)
-    for m, level in enumerate(_avoiding_prefix_levels(p, n - 1)):
-        if m == n - 1:
-            prefixes = level
-            break
-    count = 0
-    for prefix in prefixes:
-        for rank in range(1, n + 1):
-            candidate = tuple(
-                v if v < rank else v + 1 for v in prefix
-            ) + (rank,)
-            if quasi_avoids(candidate, p):
-                count += 1
-    return count
+    counts = _avoider_counts(p, n)
+    return n * counts[n - 1] - counts[n]

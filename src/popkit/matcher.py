@@ -37,13 +37,8 @@ def _search(
     values: Sequence[int],
     k: int,
     table: _ConstraintTable,
-    require_last: bool,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield occurrences as 0-based position tuples.
-
-    With require_last, only occurrences whose final slot sits on the
-    last entry are produced (used for incremental prefix checks).
-    """
+    """Yield occurrences as 0-based position tuples."""
     n = len(values)
     if k == 0:
         yield ()
@@ -53,11 +48,7 @@ def _search(
     chosen = [0] * k
 
     def extend(slot: int, start: int) -> Iterator[tuple[int, ...]]:
-        if slot == k and require_last:
-            lo, hi = max(start, n - 1), n
-        else:
-            lo, hi = start, n - (k - slot)
-        for pos in range(lo, hi):
+        for pos in range(start, n - (k - slot)):
             v = values[pos]
             ok = True
             for earlier, smaller_first in table[slot]:
@@ -80,7 +71,7 @@ def occurrences(pi: Permutation | Sequence[int], p: Poset) -> Iterator[tuple[int
     """Yield each occurrence of p in pi as a tuple of 1-based positions."""
     values = tuple(pi)
     table = _slot_constraints(p)
-    for chosen in _search(values, p.k, table, require_last=False):
+    for chosen in _search(values, p.k, table):
         yield tuple(pos + 1 for pos in chosen)
 
 
@@ -88,7 +79,7 @@ def contains(pi: Permutation | Sequence[int], p: Poset) -> bool:
     """True iff pi has at least one occurrence of p (short-circuits)."""
     values = tuple(pi)
     table = _slot_constraints(p)
-    for _ in _search(values, p.k, table, require_last=False):
+    for _ in _search(values, p.k, table):
         return True
     return False
 
@@ -102,7 +93,7 @@ def count_occurrences(pi: Permutation | Sequence[int], p: Poset) -> int:
     """Number of position subsets forming occurrences of p in pi."""
     values = tuple(pi)
     table = _slot_constraints(p)
-    return sum(1 for _ in _search(values, p.k, table, require_last=False))
+    return sum(1 for _ in _search(values, p.k, table))
 
 
 def quasi_avoids(pi: Permutation | Sequence[int], p: Poset) -> bool:
@@ -117,14 +108,3 @@ def quasi_avoids(pi: Permutation | Sequence[int], p: Poset) -> bool:
     if not contains(values, p):
         return False
     return avoids(_reduce(values[:-1]), p)
-
-
-def _contains_with_last(values: Sequence[int], p: Poset, table: _ConstraintTable) -> bool:
-    """True iff some occurrence of p uses the final entry of values.
-
-    Sound as a full containment test on a prefix that avoided p before
-    the final entry was appended: any new occurrence must use it.
-    """
-    for _ in _search(values, p.k, table, require_last=True):
-        return True
-    return False

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import Callable
 
 from .counting import CountSequence
 from .errors import InvalidGfError, InvalidInputError
@@ -47,20 +48,19 @@ class RationalGf:
         not a unit) is rejected.
         """
         num, den = self.numerator, self.denominator
-        coeffs: list[Fraction] = []
+        coeffs: list[int] = []
         for n in range(n_max + 1):
-            acc = Fraction(num[n] if n < len(num) else 0)
+            acc = num[n] if n < len(num) else 0
             for i in range(1, min(n, len(den) - 1) + 1):
                 acc -= den[i] * coeffs[n - i]
-            coeffs.append(acc / den[0])
-        out = []
-        for n, c in enumerate(coeffs):
-            if c.denominator != 1:
+            c, rem = divmod(acc, den[0])
+            if rem:
                 raise InvalidGfError(
-                    f"coefficient of x^{n} is not an integer: {c}"
+                    f"coefficient of x^{n} is not an integer: "
+                    f"{Fraction(acc, den[0])}"
                 )
-            out.append(int(c))
-        return out
+            coeffs.append(c)
+        return coeffs
 
 
 def gf_coefficients(gf: RationalGf, n_max: int) -> CountSequence:
@@ -315,19 +315,29 @@ def dc_small(name: str, n_max: int) -> CountSequence:
     raise InvalidInputError(f"unknown small pattern name {name!r}")
 
 
-# Canonical generator ids exposed to the CLI.  Values: (needs_k, needs_j).
+# Canonical generator ids exposed to the CLI, each with its generator
+# (called as generator(n_max, k, j)) and whether it needs k and j.  The
+# two-label top-set ids (adjacent and gap-2 placements) share the same
+# counting law and delegate to the same recurrence; they exist as
+# distinct ids so each placement's claim can be verified against brute
+# force separately.
+_GENERATORS: dict[str, tuple[Callable[..., CountSequence], bool, bool]] = {
+    "B1": (lambda n_max, k, j: thm_b1(k, n_max), True, False),
+    "B2": (lambda n_max, k, j: thm_b2_recurrence(k, n_max), True, False),
+    "CB-adjacent": (lambda n_max, k, j: thm_b2_recurrence(k, n_max), True, False),
+    "CB-interval": (lambda n_max, k, j: thm_general1(k, j, n_max), True, True),
+    "CB-gap2": (lambda n_max, k, j: thm_b2_recurrence(k, n_max), True, False),
+    "CB-14-235": (lambda n_max, k, j: thm_long_answer(n_max), False, False),
+    "N-class1": (lambda n_max, k, j: n_class1(n_max), False, False),
+    "N-class2": (lambda n_max, k, j: n_class2(n_max), False, False),
+    "N-class3": (lambda n_max, k, j: n_class3(n_max), False, False),
+    "DC-p1": (lambda n_max, k, j: dc_small("p1", n_max), False, False),
+    "DC-p2-fibonacci": (lambda n_max, k, j: dc_small("p2", n_max), False, False),
+}
+
+# Values: (needs_k, needs_j).
 THEOREM_IDS: dict[str, tuple[bool, bool]] = {
-    "B1": (True, False),
-    "B2": (True, False),
-    "CB-adjacent": (True, False),
-    "CB-interval": (True, True),
-    "CB-gap2": (True, False),
-    "CB-14-235": (False, False),
-    "N-class1": (False, False),
-    "N-class2": (False, False),
-    "N-class3": (False, False),
-    "DC-p1": (False, False),
-    "DC-p2-fibonacci": (False, False),
+    tid: (needs_k, needs_j) for tid, (_, needs_k, needs_j) in _GENERATORS.items()
 }
 
 _CANONICAL = {tid.lower(): tid for tid in THEOREM_IDS}
@@ -350,15 +360,9 @@ def theorem_sequence(
     k: int | None = None,
     j: int | None = None,
 ) -> CountSequence:
-    """Evaluate a named generator, checking its parameter requirements.
-
-    The two-label top-set ids (adjacent and gap-2 placements) share the
-    same counting law and delegate to the same recurrence; they exist as
-    distinct ids so each placement's claim can be verified against brute
-    force separately.
-    """
+    """Evaluate a named generator, checking its parameter requirements."""
     tid = normalize_theorem_id(theorem_id)
-    needs_k, needs_j = THEOREM_IDS[tid]
+    generator, needs_k, needs_j = _GENERATORS[tid]
     if needs_k and k is None:
         raise InvalidInputError(f"theorem {tid} requires k")
     if needs_j and j is None:
@@ -367,22 +371,4 @@ def theorem_sequence(
         raise InvalidInputError(f"theorem {tid} takes no k parameter")
     if not needs_j and j is not None:
         raise InvalidInputError(f"theorem {tid} takes no j parameter")
-    if tid == "B1":
-        return thm_b1(k, n_max)
-    if tid in ("B2", "CB-adjacent", "CB-gap2"):
-        return thm_b2_recurrence(k, n_max)
-    if tid == "CB-interval":
-        return thm_general1(k, j, n_max)
-    if tid == "CB-14-235":
-        return thm_long_answer(n_max)
-    if tid == "N-class1":
-        return n_class1(n_max)
-    if tid == "N-class2":
-        return n_class2(n_max)
-    if tid == "N-class3":
-        return n_class3(n_max)
-    if tid == "DC-p1":
-        return dc_small("p1", n_max)
-    if tid == "DC-p2-fibonacci":
-        return dc_small("p2", n_max)
-    raise AssertionError("unreachable")
+    return generator(n_max, k, j)

@@ -1,3 +1,5 @@
+import random
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -17,8 +19,42 @@ from popkit import (
     from_relations,
     label_complement,
     n_pattern,
+    quasi_avoids,
     vertical_flip,
+    zigzag,
 )
+
+
+def subset_avoiders(p, n):
+    """Avoiders of length n by the definition: no k-subset of positions
+    realizes every relation of p.  Independent of the matcher."""
+    return sum(
+        1
+        for pi in all_permutations(n)
+        if not any(
+            all(pi[pos[a - 1]] < pi[pos[b - 1]] for a, b in p.relations)
+            for pos in combinations(range(n), p.k)
+        )
+    )
+
+
+def seeded_posets(count, seed):
+    """Random posets on at most 5 labels, acyclic by construction: every
+    relation follows one shuffled linear extension."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, 5)
+        order = list(range(1, k + 1))
+        rng.shuffle(order)
+        pairs = [
+            (order[i], order[j])
+            for i in range(k)
+            for j in range(i + 1, k)
+            if rng.random() < 0.4
+        ]
+        out.append(from_relations(k, pairs))
+    return out
 
 
 class TestCountSequence:
@@ -98,10 +134,26 @@ class TestAvoidanceSequence:
             avoidance_sequence(chain((1, 2)), 20)
 
     def test_pruned_search_equals_naive_filter(self):
-        for p in [chain((1, 2, 3)), n_pattern((2, 1, 3, 4))]:
+        fixtures = [
+            chain((1, 2, 3)),
+            n_pattern((2, 1, 3, 4)),
+            from_relations(1, []),
+            from_relations(3, [(1, 2)]),  # label 3 isolated
+            from_relations(3, [(3, 1), (3, 2)]),  # label 3 only below
+            from_relations(3, [(1, 3), (2, 3)]),  # label 3 only above
+            from_relations(4, [(4, 1)]),  # label 4 below one label
+            from_relations(4, [(2, 4), (4, 3)]),  # label 4 in between
+        ] + seeded_posets(30, 20261018)
+        for p in fixtures:
             for n in range(7):
                 naive = sum(1 for pi in all_permutations(n) if avoids(pi, p))
-                assert count_avoiders(p, n) == naive
+                assert count_avoiders(p, n) == naive == subset_avoiders(p, n), (p, n)
+
+    def test_alternating_path_search_values(self):
+        # The search values for this word; the acceptance fixture c11
+        # records 448 and 1888 instead and fails by design.
+        seq = avoidance_sequence(zigzag((3, 1, 4, 2, 5), "^v^v"), 7)
+        assert seq.values[6:] == (454, 1968)
 
     def test_counts_invariant_under_label_symmetries(self):
         p = complete_bipartite(4, {1, 2})
@@ -132,6 +184,19 @@ class TestCountQuasiAvoiders:
                 lhs = count_quasi_avoiders(p, n)
                 rhs = n * count_avoiders(p, n - 1) - count_avoiders(p, n)
                 assert lhs == rhs, (p, n)
+
+    def test_matches_definition(self):
+        # counted from the definition, not from the avoider counts
+        for p in [
+            chain((1, 2, 3)),
+            complete_bipartite(4, {1, 2}),
+            n_pattern((2, 1, 3, 4)),
+            from_relations(3, []),
+            from_relations(1, []),
+        ]:
+            for n in range(1, 7):
+                direct = sum(quasi_avoids(pi, p) for pi in all_permutations(n))
+                assert count_quasi_avoiders(p, n) == direct, (p, n)
 
     def test_n_zero_rejected(self):
         with pytest.raises(InvalidInputError):
