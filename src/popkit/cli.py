@@ -22,11 +22,10 @@ import io
 import json
 import os
 import sys
-from math import comb
 from typing import Sequence
 
 from .counting import avoidance_sequence, count_avoiders, count_quasi_avoiders
-from .egf import TruncatedEgf, dc_pop_egf, egf_exp, egf_from_counts, egf_one
+from .egf import chain_egf, dc_pop_egf
 from .errors import InvalidInputError, PopkitError, ResourceLimitError
 from .notation import DcSpec, build_pop, parse_pop, poset_text, render_pop
 from .perms import DEFAULT_CAP
@@ -142,29 +141,6 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
-
-
-def _chain_egf(word: tuple[int, ...], order: int, cap: int) -> TruncatedEgf:
-    """Avoidance series for one chain word of a disjoint-chain pattern.
-
-    Lengths 1-3 have closed forms (empty-only, all ones, Catalan); longer
-    chains fall back to exact search, so the order is capped for them.
-    """
-    m = len(word)
-    if m == 1:
-        return egf_one(order)
-    if m == 2:
-        return egf_exp(order)
-    if m == 3:
-        return egf_from_counts([_catalan(n) for n in range(order + 1)])
-    from .posets import dc_pop
-
-    seq = avoidance_sequence(dc_pop([word]), order, cap=cap)
-    return egf_from_counts(seq.values)
-
-
 def _cmd_series(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     text = args.dc.strip()
@@ -174,8 +150,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if not isinstance(spec, DcSpec):
         raise InvalidInputError("--dc takes disjoint-chain notation like [12|43|65]")
     build_pop(spec)  # validate the words before any series work
-    chains = [_chain_egf(w, args.order, cap) for w in spec.words]
-    series = dc_pop_egf(chains)
+    series = dc_pop_egf([chain_egf(w, args.order, cap) for w in spec.words])
     identity: dict[str, object] = {
         "pattern": render_pop(spec),
         "source": "egf-expansion",

@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 from .matcher import _search, _slot_constraints
-from .perms import DEFAULT_CAP
+from .perms import DEFAULT_CAP, _check_cap
 from .posets import Poset
 
 _SOURCES = ("brute-force", "theorem-name", "gf-expansion", "egf-expansion")
@@ -78,16 +78,6 @@ class CountSequence:
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]
-
-
-def _check_cap(n: int, cap: int) -> None:
-    if n < 0:
-        raise InvalidInputError(f"negative length: {n}")
-    if n > cap:
-        raise ResourceLimitError(
-            f"avoidance counting to length {n} exceeds cap {cap}; "
-            "raise the cap explicitly if this is intended"
-        )
 
 
 def _avoider_counts(p: Poset, n_max: int) -> list[int]:

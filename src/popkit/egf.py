@@ -6,7 +6,8 @@ sum c(n) x^n / n!, so multiplication is the binomial convolution
 integers.  The composition rules for disjoint-chain patterns live here:
 the quasi-avoider transform A* = (x-1)A + 1, the one-extra-chain
 composition C = A + B A*, its m-fold iteration, and the closed form
-(1 - (1 + (x-1)e^x)^m) / (1-x) for m disjoint two-element chains.
+(1 - (1 + (x-1)e^x)^m) / (1-x) for m disjoint two-element chains,
+and the avoidance series of each chain itself.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .counting import CountSequence
+from .counting import CountSequence, avoidance_sequence
 from .errors import InvalidInputError
+from .perms import _check_length
+from .posets import dc_pop
 
 DEFAULT_ORDER = 15
 
@@ -78,16 +81,19 @@ def egf_mul(f: TruncatedEgf, g: TruncatedEgf) -> TruncatedEgf:
 
 def egf_one(order: int = DEFAULT_ORDER) -> TruncatedEgf:
     """The constant series 1."""
+    _check_length(order)
     return TruncatedEgf((1,) + (0,) * order)
 
 
 def egf_zero(order: int = DEFAULT_ORDER) -> TruncatedEgf:
     """The zero series."""
+    _check_length(order)
     return TruncatedEgf((0,) * (order + 1))
 
 
 def egf_exp(order: int = DEFAULT_ORDER) -> TruncatedEgf:
     """e^x: one object of every size (the 2-chain avoiders)."""
+    _check_length(order)
     return TruncatedEgf((1,) * (order + 1))
 
 
@@ -117,6 +123,26 @@ def chain_compose(a: TruncatedEgf, b: TruncatedEgf) -> TruncatedEgf:
     """
     _check_orders(a, b)
     return egf_add(a, egf_mul(b, quasi_transform(a)))
+
+
+def chain_egf(word: tuple[int, ...], order: int, cap: int) -> TruncatedEgf:
+    """Avoidance series for one chain word of a disjoint-chain pattern.
+
+    Lengths 1-3 have closed forms (empty-only, all ones, Catalan); longer
+    chains fall back to exact search, so the order is capped for them.
+    """
+    _check_length(order)
+    m = len(word)
+    if m == 1:
+        return egf_one(order)
+    if m == 2:
+        return egf_exp(order)
+    if m == 3:
+        return egf_from_counts(
+            [comb(2 * n, n) // (n + 1) for n in range(order + 1)]
+        )
+    seq = avoidance_sequence(dc_pop([word]), order, cap=cap)
+    return egf_from_counts(seq.values)
 
 
 def dc_pop_egf(chain_egfs: Sequence[TruncatedEgf]) -> TruncatedEgf:

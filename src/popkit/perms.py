@@ -22,6 +22,21 @@ from .errors import InvalidInputError, ResourceLimitError
 DEFAULT_CAP = 12
 
 
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise InvalidInputError(f"negative length: {n}")
+
+
+def _check_cap(n: int, cap: int) -> None:
+    """Reject a negative length, or one above cap (a factorial-time sweep)."""
+    _check_length(n)
+    if n > cap:
+        raise ResourceLimitError(
+            f"length {n} exceeds cap {cap}; "
+            "raise the cap explicitly if this is intended"
+        )
+
+
 class Permutation:
     """An immutable permutation of {1..n} in one-line notation."""
 
@@ -128,11 +143,6 @@ def all_permutations(n: int, cap: int = DEFAULT_CAP) -> Iterator[Permutation]:
     Refuses n above the cap: the full sweep is factorial-time and a
     larger request is almost certainly a mistake rather than a plan.
     """
-    if n < 0:
-        raise InvalidInputError(f"negative length: {n}")
-    if n > cap:
-        raise ResourceLimitError(
-            f"exhaustive enumeration of length {n} exceeds cap {cap}"
-        )
+    _check_cap(n, cap)
     for entries in itertools.permutations(range(1, n + 1)):
         yield Permutation(entries)

@@ -76,12 +76,12 @@ class Poset:
         _check_labels(self.k, rels)
         if rels != _transitive_closure(self.k, rels):
             raise InvalidPosetError("relations are not transitively closed")
-        for a, b in rels:
-            if a == b:
-                raise InvalidPosetError(f"label {a} is related to itself")
-            if (b, a) in rels:
+        # A closed relation is antisymmetric once it is irreflexive:
+        # (a, b) and (b, a) close to (a, a).
+        for a in range(1, self.k + 1):
+            if (a, a) in rels:
                 raise InvalidPosetError(
-                    f"labels {a} and {b} are related both ways"
+                    f"relations contain a cycle through label {a}"
                 )
 
     def __repr__(self) -> str:
@@ -96,19 +96,14 @@ class Poset:
 def from_relations(k: int, covers: Iterable[Pair]) -> Poset:
     """Poset generated by arbitrary relation pairs (a below b).
 
-    The pairs are closed transitively; a cycle (including a pair related
-    both ways) is rejected.  An empty cover list gives the antichain,
-    which every length-k subsequence matches.
+    The pairs are closed transitively and the closure is checked like
+    any Poset, so a cycle (including a pair given in both directions) is
+    rejected.  An empty cover list gives the antichain, which every
+    length-k subsequence matches.
     """
     covers = list(covers)
     _check_labels(k, covers)
-    closed = _transitive_closure(k, covers)
-    for a, b in closed:
-        if a == b or (b, a) in closed:
-            raise InvalidPosetError(
-                f"relations contain a cycle through label {a}"
-            )
-    return Poset(k, closed)
+    return Poset(k, _transitive_closure(k, covers))
 
 
 def chain(word: Permutation | Sequence[int]) -> Poset:

@@ -19,6 +19,7 @@ from typing import Callable
 
 from .counting import CountSequence
 from .errors import InvalidGfError, InvalidInputError
+from .perms import _check_length
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,7 @@ class RationalGf:
         a non-integer coefficient (possible when the constant term is
         not a unit) is rejected.
         """
+        _check_length(n_max)
         num, den = self.numerator, self.denominator
         coeffs: list[int] = []
         for n in range(n_max + 1):
@@ -92,6 +94,7 @@ def thm_b1(k: int, n_max: int) -> CountSequence:
     a(n) = n! below the pattern length, then (k-1)! (k-1)^(n-k+1):
     every further entry has k-1 admissible insertion slots.
     """
+    _check_length(n_max)
     if k < 1:
         raise InvalidInputError("pattern length must be at least 1")
     values = [
@@ -119,6 +122,7 @@ def thm_b2_recurrence(k: int, n_max: int) -> CountSequence:
     placed adjacently or two apart: a(n) = 2(k-2)a(n-1) - (k-2)(k-3)a(n-2)
     once n reaches the pattern length.
     """
+    _check_length(n_max)
     if k < 2:
         raise InvalidInputError("pattern length must be at least 2")
     values: list[int] = []
@@ -165,6 +169,7 @@ def thm_general1(k: int, j: int, n_max: int) -> CountSequence:
     a(n) = sum over l=1..j+1 of
     (-1)^(l-1) C(j+1, l) (k-j-1)(k-j-2)...(k-j-l) a(n-l).
     """
+    _check_length(n_max)
     if j < 0:
         raise InvalidInputError("interval width must be non-negative")
     if k < j + 2:
@@ -209,6 +214,7 @@ def _long_answer_system(n_max: int) -> tuple[list[int], list[int]]:
 def thm_long_answer(n_max: int) -> CountSequence:
     """Counts for the exceptional length-5 complete bipartite pattern
     whose top labels are 1 and 4 (equivalently 2 and 5)."""
+    _check_length(n_max)
     a, _ = _long_answer_system(max(n_max, 4))
     return CountSequence(
         "exceptional-cb5", tuple(a[: n_max + 1]), "theorem-name"
@@ -229,6 +235,7 @@ def n_class1(n_max: int) -> CountSequence:
     a(0)=a(1)=1 and a(n) = 4a(n-1) - 3a(n-2) + 1; each term is checked
     against the closed form (3^n - 2n + 3)/4 as it is produced.
     """
+    _check_length(n_max)
     values = [1, 1]
     for n in range(2, n_max + 1):
         values.append(4 * values[n - 1] - 3 * values[n - 2] + 1)
@@ -261,6 +268,7 @@ def n_class2(n_max: int) -> CountSequence:
     a(0)=a(1)=1, a(2)=2, then a(n) = 4a(n-1) - 3a(n-2) + a(n-3); each
     term from n=1 on is checked against the binomial sum.
     """
+    _check_length(n_max)
     values = [1, 1, 2]
     for n in range(3, n_max + 1):
         values.append(
@@ -283,6 +291,7 @@ def n_class2_gf() -> RationalGf:
 def n_class3(n_max: int) -> CountSequence:
     """Counts for the two-member class of length-4 path patterns:
     a(n) = n! through n=3, then a(n) = 3a(n-1) + a(n-2) - a(n-3)."""
+    _check_length(n_max)
     values = [1, 1, 2, 6]
     for n in range(4, n_max + 1):
         values.append(
@@ -301,6 +310,7 @@ def dc_small(name: str, n_max: int) -> CountSequence:
     Fibonacci sequence in the indexing fixed by direct enumeration
     (a(1..5) = 1, 2, 3, 5, 8).
     """
+    _check_length(n_max)
     key = name.lower()
     if key == "p1":
         values = [1] + [n for n in range(1, n_max + 1)]

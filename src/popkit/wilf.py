@@ -32,16 +32,14 @@ CAVEAT = (
 
 
 def symmetry_orbit(p: Poset) -> frozenset[Poset]:
-    """Closure of p under label complement and order dual (size 1, 2, or 4)."""
-    orbit = {p}
-    frontier = [p]
-    while frontier:
-        q = frontier.pop()
-        for image in (label_complement(q), vertical_flip(q)):
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return frozenset(orbit)
+    """Closure of p under label complement and order dual (size 1, 2, or 4).
+
+    The two maps are commuting involutions, so together they generate
+    only {identity, complement, dual, complement of dual}; the images of
+    p under these four are the whole orbit.
+    """
+    c = label_complement(p)
+    return frozenset((p, c, vertical_flip(p), vertical_flip(c)))
 
 
 @dataclass(frozen=True)
@@ -82,38 +80,30 @@ def classify(
         poset_text(p) for p in family.members
     )
 
-    orbit_of: dict[Poset, frozenset[Poset]] = {}
-    prefix_of_orbit: dict[frozenset[Poset], tuple[int, ...]] = {}
+    rep_of: dict[Poset, Poset] = {}
+    prefix_of: dict[Poset, tuple[int, ...]] = {}
     for p in family.members:
-        if p in orbit_of:
-            continue
-        orbit = symmetry_orbit(p)
-        prefix = tuple(avoidance_sequence(p, n_max, cap=cap).values)
-        for q in orbit:
-            orbit_of[q] = orbit
-        prefix_of_orbit[orbit] = prefix
+        if p not in rep_of:
+            orbit = symmetry_orbit(p)
+            rep = min(orbit, key=poset_text)
+            rep_of.update(dict.fromkeys(orbit, rep))
+            prefix_of[rep] = tuple(avoidance_sequence(p, n_max, cap=cap).values)
 
     grouped: dict[tuple[int, ...], list[int]] = {}
     for idx, p in enumerate(family.members):
-        prefix = prefix_of_orbit[orbit_of[p]]
-        grouped.setdefault(prefix, []).append(idx)
+        grouped.setdefault(prefix_of[rep_of[p]], []).append(idx)
 
     classes = []
     for prefix in sorted(grouped):
-        indices = grouped[prefix]
-        ordered = sorted(indices, key=lambda i: names[i])
+        ordered = sorted(grouped[prefix], key=lambda i: names[i])
         members = tuple(family.members[i] for i in ordered)
-        member_names = tuple(names[i] for i in ordered)
-        reps = {
-            min(orbit_of[p], key=poset_text) for p in members
-        }
         classes.append(
             WilfClass(
                 prefix=prefix,
                 members=members,
-                member_names=member_names,
+                member_names=tuple(names[i] for i in ordered),
                 orbit_representatives=tuple(
-                    sorted(reps, key=poset_text)
+                    sorted({rep_of[p] for p in members}, key=poset_text)
                 ),
             )
         )

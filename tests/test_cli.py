@@ -236,6 +236,39 @@ class TestCapsAndErrors:
         assert code == 2
 
 
+class TestNegativeLengths:
+    @pytest.mark.parametrize(
+        "theorem, params",
+        [
+            ("B1", ["--k", "4"]),
+            ("B2", ["--k", "4"]),
+            ("CB-adjacent", ["--k", "5"]),
+            ("CB-interval", ["--k", "5", "--j", "2"]),
+            ("CB-gap2", ["--k", "5"]),
+            ("CB-14-235", []),
+            ("N-class1", []),
+            ("N-class2", []),
+            ("N-class3", []),
+            ("DC-p1", []),
+            ("DC-p2-fibonacci", []),
+        ],
+    )
+    def test_theorem_nmax(self, capsys, theorem, params):
+        code, out, err = run(
+            capsys, "seq", "--theorem", theorem, *params, "--nmax", "-2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "negative length" in err
+
+    @pytest.mark.parametrize("words", ["[1|2]", "[12|34]", "[123|4]", "[1234]"])
+    def test_series_order(self, capsys, words):
+        code, out, err = run(capsys, "series", "--dc", words, "--order", "-1")
+        assert code == 2
+        assert out == ""
+        assert "negative length" in err
+
+
 class TestOutFile:
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "result.txt"

@@ -79,6 +79,11 @@ class TestArithmetic:
     def test_exp_counts_all_ones(self):
         assert egf_exp(6).counts == (1,) * 7
 
+    @pytest.mark.parametrize("series", [egf_one, egf_zero, egf_exp])
+    def test_negative_order_rejected(self, series):
+        with pytest.raises(InvalidInputError, match="negative length"):
+            series(-1)
+
 
 class TestQuasiTransform:
     def test_coefficient_rule(self):

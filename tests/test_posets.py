@@ -79,6 +79,49 @@ class TestFromRelations:
             Poset(3, frozenset({(1, 2), (2, 3)}))
 
 
+def naive_closure(rels):
+    closed = set(rels)
+    while True:
+        extra = {
+            (a, d) for a, b in closed for c, d in closed if b == c
+        } - closed
+        if not extra:
+            return frozenset(closed)
+        closed |= extra
+
+
+def relation_sets(max_k):
+    """Every set of pairs of labels 1..k, for each k up to max_k."""
+    for k in range(max_k + 1):
+        pairs = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1)]
+        for mask in range(1 << len(pairs)):
+            yield k, frozenset(
+                pair for i, pair in enumerate(pairs) if mask >> i & 1
+            )
+
+
+class TestStrictOrderCheck:
+    """Every relation set on at most three labels, against a naive oracle."""
+
+    def test_poset_accepts_exactly_strict_orders(self):
+        for k, rels in relation_sets(3):
+            irreflexive = all(a != b for a, b in rels)
+            if irreflexive and naive_closure(rels) == rels:
+                assert Poset(k, rels).relations == rels
+            else:
+                with pytest.raises(InvalidPosetError):
+                    Poset(k, rels)
+
+    def test_from_relations_closes_then_checks(self):
+        for k, rels in relation_sets(3):
+            closed = naive_closure(rels)
+            if all(a != b for a, b in closed):
+                assert from_relations(k, rels).relations == closed
+            else:
+                with pytest.raises(InvalidPosetError):
+                    from_relations(k, rels)
+
+
 class TestBuilders:
     def test_chain_full_order(self):
         p = chain((1, 2, 3))

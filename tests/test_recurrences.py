@@ -199,6 +199,28 @@ class TestSmallDisjointChains:
             dc_small("p3", 5)
 
 
+class TestNegativeLength:
+    @pytest.mark.parametrize(
+        "generator, args",
+        [
+            (n_class1, ()),
+            (n_class2, ()),
+            (n_class3, ()),
+            (thm_long_answer, ()),
+            (dc_small, ("p2",)),
+            (dc_small, ("p1",)),
+            (thm_b1, (4,)),
+            (thm_b2_recurrence, (4,)),
+            (thm_general1, (5, 2)),
+            (gf_coefficients, (n_class1_gf(),)),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_rejected(self, generator, args):
+        with pytest.raises(InvalidInputError, match="negative length"):
+            generator(*args, -2)
+
+
 class TestTheoremDispatch:
     def test_parameter_requirements(self):
         with pytest.raises(InvalidInputError):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from popkit import (
@@ -7,12 +10,66 @@ from popkit import (
     cb_family,
     chain,
     classify,
+    complete_bipartite,
+    from_relations,
     label_complement,
     n_pattern,
     n_pattern_family,
+    poset_text,
     symmetry_orbit,
     vertical_flip,
 )
+
+
+def frontier_orbit(p):
+    """Reference orbit by search: apply both maps until nothing is new."""
+    orbit = {p}
+    frontier = [p]
+    while frontier:
+        q = frontier.pop()
+        for image in (label_complement(q), vertical_flip(q)):
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return frozenset(orbit)
+
+
+def seeded_posets(count, seed=20261018):
+    """Random posets on k <= 5 labels from seeded linear extensions."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 5)
+        order = list(range(1, k + 1))
+        rng.shuffle(order)
+        pairs = [
+            (order[i], order[j])
+            for i in range(k)
+            for j in range(i + 1, k)
+            if rng.random() < 0.4
+        ]
+        yield from_relations(k, pairs)
+
+
+def reference_classes(family, n_max):
+    """(prefix, names, members) per class, every member counted directly."""
+    names = family.display_names or tuple(
+        poset_text(p) for p in family.members
+    )
+    grouped = {}
+    for name, p in zip(names, family.members):
+        prefix = avoidance_sequence(p, n_max).values
+        grouped.setdefault(prefix, []).append((name, p))
+    classes = []
+    for prefix in sorted(grouped):
+        ordered = sorted(grouped[prefix], key=lambda pair: pair[0])
+        classes.append(
+            (
+                prefix,
+                tuple(name for name, _ in ordered),
+                tuple(p for _, p in ordered),
+            )
+        )
+    return classes
 
 
 class TestSymmetryOrbit:
@@ -32,6 +89,15 @@ class TestSymmetryOrbit:
     def test_contains_original(self):
         p = chain((1, 2, 3))
         assert p in symmetry_orbit(p)
+
+    def test_closed_form_equals_search(self):
+        posets = itertools.chain(
+            n_pattern_family().members,
+            cb_family(6, 3).members,
+            seeded_posets(30),
+        )
+        for p in posets:
+            assert symmetry_orbit(p) == frontier_orbit(p)
 
     def test_orbit_members_share_counts(self):
         p = n_pattern((3, 1, 2, 4))
@@ -116,3 +182,38 @@ class TestClassify:
         )
         report = classify(fam, n_max=7)
         assert len(report.classes) == 1  # mirror images are one class
+
+    @pytest.mark.parametrize(
+        "family, n_max",
+        [
+            (n_pattern_family(), 7),
+            (cb_family(5, 2), 6),
+            (cb_family(6, 3), 5),
+            (
+                PatternFamily(
+                    "ad-hoc",
+                    (
+                        chain((1, 2, 3)),
+                        chain((3, 2, 1)),
+                        chain((1, 3, 2)),
+                        complete_bipartite(3, {1}),
+                        from_relations(3, [(1, 3)]),
+                        chain((1, 2, 3)),
+                    ),
+                ),
+                7,
+            ),
+        ],
+    )
+    def test_matches_direct_classifier(self, family, n_max):
+        report = classify(family, n_max=n_max)
+        got = [
+            (cls.prefix, cls.member_names, cls.members)
+            for cls in report.classes
+        ]
+        assert got == reference_classes(family, n_max)
+        for cls in report.classes:
+            reps = {min(symmetry_orbit(m), key=poset_text) for m in cls.members}
+            assert cls.orbit_representatives == tuple(
+                sorted(reps, key=poset_text)
+            )
