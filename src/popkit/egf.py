@@ -174,6 +174,7 @@ def bipartite_dc_closed_form(m: int, order: int = DEFAULT_ORDER) -> TruncatedEgf
     """
     if m < 1:
         raise InvalidInputError("need at least one chain")
+    _check_length(order)
     base = TruncatedEgf(
         tuple(0 if n == 0 else n - 1 for n in range(order + 1))
     )

@@ -30,8 +30,16 @@ Pair = tuple[int, int]
 
 
 def _transitive_closure(k: int, pairs: Iterable[Pair]) -> frozenset[Pair]:
+    """Transitive closure of pairs over labels {1..k}.
+
+    A label outside 1..k is rejected before it is used as an index.
+    """
     reach = [[False] * (k + 1) for _ in range(k + 1)]
     for a, b in pairs:
+        if not (1 <= a <= k and 1 <= b <= k):
+            raise InvalidInputError(
+                f"label out of range 1..{k} in relation ({a},{b})"
+            )
         reach[a][b] = True
     for m in range(1, k + 1):
         for a in range(1, k + 1):
@@ -46,14 +54,6 @@ def _transitive_closure(k: int, pairs: Iterable[Pair]) -> frozenset[Pair]:
         for b in range(1, k + 1)
         if reach[a][b]
     )
-
-
-def _check_labels(k: int, pairs: Iterable[Pair]) -> None:
-    for a, b in pairs:
-        if not (1 <= a <= k and 1 <= b <= k):
-            raise InvalidInputError(
-                f"label out of range 1..{k} in relation ({a},{b})"
-            )
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class Poset:
             raise InvalidInputError(f"negative size: {self.k}")
         rels = frozenset(self.relations)
         object.__setattr__(self, "relations", rels)
-        _check_labels(self.k, rels)
         if rels != _transitive_closure(self.k, rels):
             raise InvalidPosetError("relations are not transitively closed")
         # A closed relation is antisymmetric once it is irreflexive:
@@ -101,8 +100,6 @@ def from_relations(k: int, covers: Iterable[Pair]) -> Poset:
     rejected.  An empty cover list gives the antichain, which every
     length-k subsequence matches.
     """
-    covers = list(covers)
-    _check_labels(k, covers)
     return Poset(k, _transitive_closure(k, covers))
 
 

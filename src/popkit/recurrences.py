@@ -1,21 +1,29 @@
 """Named sequence generators: recurrences, closed forms, rational g.f.s.
 
 Each generator produces the exact avoidance counts of a specific
-pattern family from its closed form alone, never from search, so the
+pattern family from its stated law alone, never from search, so the
 brute-force counter and these formulas can be checked against each
 other meaningfully.  All arithmetic is unbounded-integer exact.
 
-Initial conditions follow the common shape a(n) = n! for n below the
-pattern length; the handful of sequences with other initial segments
-spell them out explicitly.
+Most laws are fixed-order linear recurrences: a(n) = n! below the
+pattern length, then a(n) = c_1 a(n-1) + ... + c_d a(n-d).  One loop,
+`_linear`, runs them all, and each generator states only its initial
+terms and coefficients.  Three kinds of code keep their own form: the
+coupled system of the exceptional length-5 pattern (CB-14-235), the
+closed form a(n) = n of DC-p1, and the stated rational g.f.s, which
+stay literal so that expanding them checks the recurrences rather than
+restating them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable
+from functools import partial
+from itertools import islice
+from math import comb, factorial, perm
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 from .counting import CountSequence
 from .errors import InvalidGfError, InvalidInputError
@@ -88,20 +96,34 @@ def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _linear(
+    name: str, initial: Iterable[int], coeffs: Sequence[int], n_max: int
+) -> CountSequence:
+    """a(0..n_max): the initial terms while they last, then
+    a(n) = coeffs[0] a(n-1) + coeffs[1] a(n-2) + ...
+
+    initial must hold at least len(coeffs) terms.  It is read lazily,
+    so an n! block longer than n_max + 1 terms is never computed.
+    """
+    _check_length(n_max)
+    values = list(islice(initial, n_max + 1))
+    newest_first = slice(-1, -len(coeffs) - 1, -1)
+    while len(values) <= n_max:
+        values.append(sum(map(mul, coeffs, values[newest_first])))
+    return CountSequence(name, tuple(values), "theorem-name")
+
+
 def thm_b1(k: int, n_max: int) -> CountSequence:
     """Counts for the complete bipartite pattern with a single top label.
 
-    a(n) = n! below the pattern length, then (k-1)! (k-1)^(n-k+1):
-    every further entry has k-1 admissible insertion slots.
+    a(n) = n! below the pattern length, then a(n) = (k-1) a(n-1), that
+    is (k-1)! (k-1)^(n-k+1): every further entry has k-1 admissible
+    insertion slots.
     """
     _check_length(n_max)
     if k < 1:
         raise InvalidInputError("pattern length must be at least 1")
-    values = [
-        factorial(n) if n < k else factorial(k - 1) * (k - 1) ** (n - k + 1)
-        for n in range(n_max + 1)
-    ]
-    return CountSequence(f"B1(k={k})", tuple(values), "theorem-name")
+    return _linear(f"B1(k={k})", map(factorial, range(k)), [k - 1], n_max)
 
 
 def thm_b1_gf(k: int) -> RationalGf:
@@ -125,16 +147,12 @@ def thm_b2_recurrence(k: int, n_max: int) -> CountSequence:
     _check_length(n_max)
     if k < 2:
         raise InvalidInputError("pattern length must be at least 2")
-    values: list[int] = []
-    for n in range(n_max + 1):
-        if n < k:
-            values.append(factorial(n))
-        else:
-            values.append(
-                2 * (k - 2) * values[n - 1]
-                - (k - 2) * (k - 3) * values[n - 2]
-            )
-    return CountSequence(f"B2(k={k})", tuple(values), "theorem-name")
+    return _linear(
+        f"B2(k={k})",
+        map(factorial, range(k)),
+        [2 * (k - 2), -(k - 2) * (k - 3)],
+        n_max,
+    )
 
 
 def thm_b2_gf(k: int) -> RationalGf:
@@ -176,46 +194,32 @@ def thm_general1(k: int, j: int, n_max: int) -> CountSequence:
         raise InvalidInputError(
             "pattern length must exceed the top interval"
         )
-    values: list[int] = []
-    for n in range(n_max + 1):
-        if n < k:
-            values.append(factorial(n))
-            continue
-        total = 0
-        for ell in range(1, j + 2):
-            coeff = comb(j + 1, ell)
-            for t in range(1, ell + 1):
-                coeff *= k - j - t
-            term = coeff * values[n - ell]
-            total += term if ell % 2 == 1 else -term
-        values.append(total)
-    return CountSequence(
-        f"interval(k={k},j={j})", tuple(values), "theorem-name"
+    coeffs = [
+        (-1) ** (ell - 1) * comb(j + 1, ell) * perm(k - j - 1, ell)
+        for ell in range(1, j + 2)
+    ]
+    return _linear(
+        f"interval(k={k},j={j})", map(factorial, range(k)), coeffs, n_max
     )
-
-
-def _long_answer_system(n_max: int) -> tuple[list[int], list[int]]:
-    """Coupled system for the exceptional length-5 bipartite pattern
-    (top labels 1 and 4): main counts a(n) and auxiliary counts b(n).
-    """
-    a = [1, 1, 2, 6, 24]
-    b = [0, 0, 1]  # b(0) unused; b(1)=0, b(2)=1
-    # The two recurrences feed each other two terms back, so they are
-    # advanced together: b(n) uses a(n-2), a(n) uses b(n-2).
-    for n in range(3, n_max + 1):
-        b.append(a[n - 2] + b[n - 1] + 2 * sum(b[i] for i in range(2, n - 1)))
-        if n >= 5:
-            a.append(
-                7 * a[n - 1] - 12 * a[n - 2] + 4 * a[n - 3] + 2 * b[n - 2]
-            )
-    return a[: n_max + 1], b[: n_max + 1]
 
 
 def thm_long_answer(n_max: int) -> CountSequence:
     """Counts for the exceptional length-5 complete bipartite pattern
-    whose top labels are 1 and 4 (equivalently 2 and 5)."""
+    whose top labels are 1 and 4 (equivalently 2 and 5).
+
+    A coupled system: the main counts a(n) and auxiliary counts b(n)
+    feed each other two terms back, so they are advanced together;
+    b(n) uses a(n-2) and a(n) uses b(n-2).
+    """
     _check_length(n_max)
-    a, _ = _long_answer_system(max(n_max, 4))
+    a = [1, 1, 2, 6, 24]
+    b = [0, 0, 1]  # b(0) unused; b(1)=0, b(2)=1
+    for n in range(3, n_max + 1):
+        b.append(a[n - 2] + b[n - 1] + 2 * sum(b[2 : n - 1]))
+        if n >= 5:
+            a.append(
+                7 * a[n - 1] - 12 * a[n - 2] + 4 * a[n - 3] + 2 * b[n - 2]
+            )
     return CountSequence(
         "exceptional-cb5", tuple(a[: n_max + 1]), "theorem-name"
     )
@@ -223,6 +227,7 @@ def thm_long_answer(n_max: int) -> CountSequence:
 
 def n_class1_closed_form(n: int) -> int:
     """(3^n - 2n + 3) / 4, exactly."""
+    _check_length(n)
     value, rem = divmod(3**n - 2 * n + 3, 4)
     if rem:
         raise AssertionError(f"closed form not integral at n={n}")
@@ -232,20 +237,18 @@ def n_class1_closed_form(n: int) -> int:
 def n_class1(n_max: int) -> CountSequence:
     """Counts for the largest class of length-4 path patterns.
 
-    a(0)=a(1)=1 and a(n) = 4a(n-1) - 3a(n-2) + 1; each term is checked
-    against the closed form (3^n - 2n + 3)/4 as it is produced.
+    a(0)=a(1)=1 and a(n) = 4a(n-1) - 3a(n-2) + 1, run in its homogeneous
+    form a(n) = 5a(n-1) - 7a(n-2) + 3a(n-3) from a(2) = 2 (the
+    difference of two consecutive steps cancels the +1); each term is
+    checked against the closed form (3^n - 2n + 3)/4.
     """
-    _check_length(n_max)
-    values = [1, 1]
-    for n in range(2, n_max + 1):
-        values.append(4 * values[n - 1] - 3 * values[n - 2] + 1)
-    values = values[: n_max + 1]
-    for n, v in enumerate(values):
+    seq = _linear("N-class1", [1, 1, 2], [5, -7, 3], n_max)
+    for n, v in enumerate(seq.values):
         if v != n_class1_closed_form(n):
             raise AssertionError(
                 f"recurrence and closed form disagree at n={n}"
             )
-    return CountSequence("N-class1", tuple(values), "theorem-name")
+    return seq
 
 
 def n_class1_gf() -> RationalGf:
@@ -268,19 +271,13 @@ def n_class2(n_max: int) -> CountSequence:
     a(0)=a(1)=1, a(2)=2, then a(n) = 4a(n-1) - 3a(n-2) + a(n-3); each
     term from n=1 on is checked against the binomial sum.
     """
-    _check_length(n_max)
-    values = [1, 1, 2]
-    for n in range(3, n_max + 1):
-        values.append(
-            4 * values[n - 1] - 3 * values[n - 2] + values[n - 3]
-        )
-    values = values[: n_max + 1]
-    for n in range(1, len(values)):
-        if values[n] != n_class2_binomial_sum(n):
+    seq = _linear("N-class2", [1, 1, 2], [4, -3, 1], n_max)
+    for n in range(1, len(seq.values)):
+        if seq.values[n] != n_class2_binomial_sum(n):
             raise AssertionError(
                 f"recurrence and binomial sum disagree at n={n}"
             )
-    return CountSequence("N-class2", tuple(values), "theorem-name")
+    return seq
 
 
 def n_class2_gf() -> RationalGf:
@@ -291,15 +288,7 @@ def n_class2_gf() -> RationalGf:
 def n_class3(n_max: int) -> CountSequence:
     """Counts for the two-member class of length-4 path patterns:
     a(n) = n! through n=3, then a(n) = 3a(n-1) + a(n-2) - a(n-3)."""
-    _check_length(n_max)
-    values = [1, 1, 2, 6]
-    for n in range(4, n_max + 1):
-        values.append(
-            3 * values[n - 1] + values[n - 2] - values[n - 3]
-        )
-    return CountSequence(
-        "N-class3", tuple(values[: n_max + 1]), "theorem-name"
-    )
+    return _linear("N-class3", [1, 1, 2, 6], [3, 1, -1], n_max)
 
 
 def dc_small(name: str, n_max: int) -> CountSequence:
@@ -313,41 +302,36 @@ def dc_small(name: str, n_max: int) -> CountSequence:
     _check_length(n_max)
     key = name.lower()
     if key == "p1":
-        values = [1] + [n for n in range(1, n_max + 1)]
-        return CountSequence("DC-p1", tuple(values[: n_max + 1]), "theorem-name")
+        values = (1, *range(1, n_max + 1))
+        return CountSequence("DC-p1", values, "theorem-name")
     if key == "p2":
-        values = [1, 1, 2]
-        for n in range(3, n_max + 1):
-            values.append(values[n - 1] + values[n - 2])
-        return CountSequence(
-            "DC-p2-fibonacci", tuple(values[: n_max + 1]), "theorem-name"
-        )
+        return _linear("DC-p2-fibonacci", [1, 1, 2], [1, 1], n_max)
     raise InvalidInputError(f"unknown small pattern name {name!r}")
 
 
 # Canonical generator ids exposed to the CLI, each with its generator
-# (called as generator(n_max, k, j)) and whether it needs k and j.  The
-# two-label top-set ids (adjacent and gap-2 placements) share the same
-# counting law and delegate to the same recurrence; they exist as
-# distinct ids so each placement's claim can be verified against brute
-# force separately.
-_GENERATORS: dict[str, tuple[Callable[..., CountSequence], bool, bool]] = {
-    "B1": (lambda n_max, k, j: thm_b1(k, n_max), True, False),
-    "B2": (lambda n_max, k, j: thm_b2_recurrence(k, n_max), True, False),
-    "CB-adjacent": (lambda n_max, k, j: thm_b2_recurrence(k, n_max), True, False),
-    "CB-interval": (lambda n_max, k, j: thm_general1(k, j, n_max), True, True),
-    "CB-gap2": (lambda n_max, k, j: thm_b2_recurrence(k, n_max), True, False),
-    "CB-14-235": (lambda n_max, k, j: thm_long_answer(n_max), False, False),
-    "N-class1": (lambda n_max, k, j: n_class1(n_max), False, False),
-    "N-class2": (lambda n_max, k, j: n_class2(n_max), False, False),
-    "N-class3": (lambda n_max, k, j: n_class3(n_max), False, False),
-    "DC-p1": (lambda n_max, k, j: dc_small("p1", n_max), False, False),
-    "DC-p2-fibonacci": (lambda n_max, k, j: dc_small("p2", n_max), False, False),
+# and the names of the parameters it takes before n_max.  The two-label
+# top-set ids (adjacent and gap-2 placements) share the same counting
+# law and delegate to the same recurrence; they exist as distinct ids
+# so each placement's claim can be verified against brute force
+# separately.
+_GENERATORS: dict[str, tuple[Callable[..., CountSequence], tuple[str, ...]]] = {
+    "B1": (thm_b1, ("k",)),
+    "B2": (thm_b2_recurrence, ("k",)),
+    "CB-adjacent": (thm_b2_recurrence, ("k",)),
+    "CB-interval": (thm_general1, ("k", "j")),
+    "CB-gap2": (thm_b2_recurrence, ("k",)),
+    "CB-14-235": (thm_long_answer, ()),
+    "N-class1": (n_class1, ()),
+    "N-class2": (n_class2, ()),
+    "N-class3": (n_class3, ()),
+    "DC-p1": (partial(dc_small, "p1"), ()),
+    "DC-p2-fibonacci": (partial(dc_small, "p2"), ()),
 }
 
 # Values: (needs_k, needs_j).
 THEOREM_IDS: dict[str, tuple[bool, bool]] = {
-    tid: (needs_k, needs_j) for tid, (_, needs_k, needs_j) in _GENERATORS.items()
+    tid: ("k" in params, "j" in params) for tid, (_, params) in _GENERATORS.items()
 }
 
 _CANONICAL = {tid.lower(): tid for tid in THEOREM_IDS}
@@ -372,13 +356,11 @@ def theorem_sequence(
 ) -> CountSequence:
     """Evaluate a named generator, checking its parameter requirements."""
     tid = normalize_theorem_id(theorem_id)
-    generator, needs_k, needs_j = _GENERATORS[tid]
-    if needs_k and k is None:
-        raise InvalidInputError(f"theorem {tid} requires k")
-    if needs_j and j is None:
-        raise InvalidInputError(f"theorem {tid} requires j")
-    if not needs_k and k is not None:
-        raise InvalidInputError(f"theorem {tid} takes no k parameter")
-    if not needs_j and j is not None:
-        raise InvalidInputError(f"theorem {tid} takes no j parameter")
-    return generator(n_max, k, j)
+    generator, params = _GENERATORS[tid]
+    given = {"k": k, "j": j}
+    for name, value in given.items():
+        if name in params and value is None:
+            raise InvalidInputError(f"theorem {tid} requires {name}")
+        if name not in params and value is not None:
+            raise InvalidInputError(f"theorem {tid} takes no {name} parameter")
+    return generator(*(given[name] for name in params), n_max)

@@ -81,12 +81,14 @@ def classify(
     )
 
     rep_of: dict[Poset, Poset] = {}
+    rep_text: dict[Poset, str] = {}
     prefix_of: dict[Poset, tuple[int, ...]] = {}
     for p in family.members:
         if p not in rep_of:
-            orbit = symmetry_orbit(p)
-            rep = min(orbit, key=poset_text)
-            rep_of.update(dict.fromkeys(orbit, rep))
+            text = {q: poset_text(q) for q in symmetry_orbit(p)}
+            rep = min(text, key=text.get)
+            rep_of.update(dict.fromkeys(text, rep))
+            rep_text[rep] = text[rep]
             prefix_of[rep] = tuple(avoidance_sequence(p, n_max, cap=cap).values)
 
     grouped: dict[tuple[int, ...], list[int]] = {}
@@ -103,7 +105,7 @@ def classify(
                 members=members,
                 member_names=tuple(names[i] for i in ordered),
                 orbit_representatives=tuple(
-                    sorted({rep_of[p] for p in members}, key=poset_text)
+                    sorted({rep_of[p] for p in members}, key=rep_text.get)
                 ),
             )
         )

@@ -1,3 +1,4 @@
+from functools import partial
 from math import comb, factorial
 
 import pytest
@@ -79,7 +80,18 @@ class TestArithmetic:
     def test_exp_counts_all_ones(self):
         assert egf_exp(6).counts == (1,) * 7
 
-    @pytest.mark.parametrize("series", [egf_one, egf_zero, egf_exp])
+    @pytest.mark.parametrize(
+        "series",
+        [
+            egf_one,
+            egf_zero,
+            egf_exp,
+            pytest.param(
+                partial(bipartite_dc_closed_form, 2),
+                id="bipartite_dc_closed_form",
+            ),
+        ],
+    )
     def test_negative_order_rejected(self, series):
         with pytest.raises(InvalidInputError, match="negative length"):
             series(-1)

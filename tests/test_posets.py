@@ -74,6 +74,11 @@ class TestFromRelations:
         with pytest.raises(InvalidInputError):
             from_relations(2, [(0, 1)])
 
+    @pytest.mark.parametrize("pair", [(1, 3), (0, 1), (-1, 1)])
+    def test_direct_poset_label_out_of_range_rejected(self, pair):
+        with pytest.raises(InvalidInputError, match="label out of range"):
+            Poset(2, frozenset({pair}))
+
     def test_direct_poset_requires_closed_input(self):
         with pytest.raises(InvalidPosetError):
             Poset(3, frozenset({(1, 2), (2, 3)}))

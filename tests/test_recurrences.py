@@ -1,4 +1,6 @@
+import re
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from popkit import (
     n_class2_binomial_sum,
     n_class2_gf,
     n_class3,
+    THEOREM_IDS,
     theorem_sequence,
     thm_b1,
     thm_b1_gf,
@@ -213,6 +216,7 @@ class TestNegativeLength:
             (thm_b2_recurrence, (4,)),
             (thm_general1, (5, 2)),
             (gf_coefficients, (n_class1_gf(),)),
+            (n_class1_closed_form, ()),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
@@ -259,6 +263,43 @@ class TestTheoremDispatch:
             seq = theorem_sequence(name, 6, **kwargs)
             assert seq.source == "theorem-name"
             assert seq.values[0] == 1
+
+    # Each id with its parameters and its pattern length.
+    SHAPES = {
+        "B1": ({"k": 4}, 4),
+        "B2": ({"k": 5}, 5),
+        "CB-adjacent": ({"k": 6}, 6),
+        "CB-interval": ({"k": 7, "j": 3}, 7),
+        "CB-gap2": ({"k": 3}, 3),
+        "CB-14-235": ({}, 5),
+        "N-class1": ({}, 4),
+        "N-class2": ({}, 4),
+        "N-class3": ({}, 4),
+        "DC-p1": ({}, 3),
+        "DC-p2-fibonacci": ({}, 3),
+    }
+
+    @pytest.mark.parametrize("tid", sorted(SHAPES))
+    def test_lengths_factorial_start_and_prefixes(self, tid):
+        params, length = self.SHAPES[tid]
+        full = theorem_sequence(tid, length + 8, **params).values
+        assert full[:length] == tuple(factorial(n) for n in range(length))
+        for n_max in range(length + 2):
+            values = theorem_sequence(tid, n_max, **params).values
+            assert len(values) == n_max + 1
+            assert values == full[: n_max + 1]
+
+    def test_ids_match_readme(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        para = readme.split("Theorem ids (case-insensitive): ")[1]
+        clauses = re.split(r"[.;]\s", para.split("\n\n")[0])[:3]
+        ids, takes_k, takes_kj = (
+            re.findall(r"`([A-Z][\w-]*)`", clause) for clause in clauses
+        )
+        assert takes_kj == ["CB-interval"]
+        assert THEOREM_IDS == {
+            tid: (tid in takes_k + takes_kj, tid in takes_kj) for tid in ids
+        }
 
     def test_gap2_equals_adjacent(self):
         a = theorem_sequence("CB-adjacent", 8, k=5)
