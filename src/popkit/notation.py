@@ -26,6 +26,7 @@ from typing import Union
 
 from .errors import ParseError
 from .posets import (
+    SHAPE_ALIASES,
     Poset,
     chain,
     complete_bipartite,
@@ -71,7 +72,7 @@ class ZzSpec:
     word: tuple[int, ...]
 
     def __post_init__(self):
-        canonical = self.shape.replace("∧", "^").replace("∨", "v")
+        canonical = "".join(SHAPE_ALIASES.get(c, c) for c in self.shape)
         object.__setattr__(self, "shape", canonical)
 
 
@@ -160,13 +161,12 @@ class _Cursor:
 
     def parse_shape(self) -> str:
         self.skip_ws()
-        chars = []
-        while self.peek() in ("^", "v", "∧", "∨"):
-            chars.append(self.text[self.pos])
+        start = self.pos
+        while self.peek() in SHAPE_ALIASES:
             self.pos += 1
-        if not chars:
+        if self.pos == start:
             self.fail("expected a shape", ("'^'", "'v'"))
-        return "".join(chars)
+        return self.text[start : self.pos]
 
     def expect_end(self) -> None:
         self.skip_ws()
@@ -285,4 +285,4 @@ def pop_from_text(text: str) -> Poset:
 
 def poset_text(p: Poset) -> str:
     """Canonical raw-relation notation for an arbitrary poset."""
-    return render_pop(RelSpec(p.k, tuple(sorted(p.relations))))
+    return render_pop(RelSpec(p.k, p.relations))

@@ -14,7 +14,9 @@ chains.  The two label symmetries that preserve avoidance counts
 (complementing the labels, dualizing the order) live here too.
 
 Relations are stored transitively closed; every constructed Poset is a
-valid strict partial order or the builder raises.
+valid strict partial order or the builder raises.  Closure, closedness
+and bipartiteness all come from R∘R: R is closed when R∘R ⊆ R,
+bipartite when R∘R is empty, and its closure is the fixpoint of R ∪ R∘R.
 """
 
 from __future__ import annotations
@@ -29,31 +31,21 @@ from .perms import Permutation, reduce
 Pair = tuple[int, int]
 
 
-def _transitive_closure(k: int, pairs: Iterable[Pair]) -> frozenset[Pair]:
-    """Transitive closure of pairs over labels {1..k}.
-
-    A label outside 1..k is rejected before it is used as an index.
-    """
-    reach = [[False] * (k + 1) for _ in range(k + 1)]
+def _check_labels(k: int, pairs: Iterable[Pair]) -> None:
+    """Reject the first pair, in iteration order, with a label outside 1..k."""
     for a, b in pairs:
         if not (1 <= a <= k and 1 <= b <= k):
             raise InvalidInputError(
                 f"label out of range 1..{k} in relation ({a},{b})"
             )
-        reach[a][b] = True
-    for m in range(1, k + 1):
-        for a in range(1, k + 1):
-            if reach[a][m]:
-                row_a, row_m = reach[a], reach[m]
-                for b in range(1, k + 1):
-                    if row_m[b]:
-                        row_a[b] = True
-    return frozenset(
-        (a, b)
-        for a in range(1, k + 1)
-        for b in range(1, k + 1)
-        if reach[a][b]
-    )
+
+
+def _compose(rels: frozenset[Pair]) -> set[Pair]:
+    """R∘R: every pair (a, c) with (a, b) and (b, c) both in rels."""
+    above: dict[int, list[int]] = {}
+    for a, b in rels:
+        above.setdefault(a, []).append(b)
+    return {(a, c) for a, b in rels for c in above.get(b, ())}
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,8 @@ class Poset:
             raise InvalidInputError(f"negative size: {self.k}")
         rels = frozenset(self.relations)
         object.__setattr__(self, "relations", rels)
-        if rels != _transitive_closure(self.k, rels):
+        _check_labels(self.k, rels)
+        if not _compose(rels) <= rels:
             raise InvalidPosetError("relations are not transitively closed")
         # A closed relation is antisymmetric once it is irreflexive:
         # (a, b) and (b, a) close to (a, a).
@@ -95,12 +88,17 @@ class Poset:
 def from_relations(k: int, covers: Iterable[Pair]) -> Poset:
     """Poset generated by arbitrary relation pairs (a below b).
 
-    The pairs are closed transitively and the closure is checked like
-    any Poset, so a cycle (including a pair given in both directions) is
-    rejected.  An empty cover list gives the antichain, which every
-    length-k subsequence matches.
+    The pairs are closed by at most ceil(log2 k) rounds of R ∪ R∘R and
+    checked like any Poset, so a cycle (including a pair given in both
+    directions) is rejected.  An empty cover list gives the antichain,
+    which every length-k subsequence matches.
     """
-    return Poset(k, _transitive_closure(k, covers))
+    pairs = tuple(covers)
+    _check_labels(k, pairs)
+    closed = frozenset(pairs)
+    while not (longer := _compose(closed)) <= closed:
+        closed |= longer
+    return Poset(k, closed)
 
 
 def chain(word: Permutation | Sequence[int]) -> Poset:
@@ -152,7 +150,7 @@ def n_pattern(word: Permutation | Sequence[int]) -> Poset:
     return Poset(4, frozenset({(w1, w2), (w3, w2), (w3, w4)}))
 
 
-_SHAPE_ALIASES = {"^": "^", "v": "v", "∧": "^", "∨": "v"}
+SHAPE_ALIASES = {"^": "^", "v": "v", "∧": "^", "∨": "v"}
 
 
 def zigzag(word: Permutation | Sequence[int], shape: str) -> Poset:
@@ -165,7 +163,7 @@ def zigzag(word: Permutation | Sequence[int], shape: str) -> Poset:
     """
     word = word if isinstance(word, Permutation) else Permutation(word)
     try:
-        steps = "".join(_SHAPE_ALIASES[c] for c in shape)
+        steps = "".join(SHAPE_ALIASES[c] for c in shape)
     except KeyError as exc:
         raise InvalidInputError(f"bad shape character in {shape!r}") from exc
     if len(word) != len(steps) + 1:
@@ -240,9 +238,7 @@ def vertical_flip(p: Poset) -> Poset:
 
 def is_bipartite(p: Poset) -> bool:
     """True iff the poset has no chain of three labels (two levels only)."""
-    rels = p.relations
-    below_something = {a for a, _ in rels}
-    return not any(b in below_something for _, b in rels)
+    return not _compose(p.relations)
 
 
 @dataclass(frozen=True)

@@ -194,9 +194,10 @@ def thm_general1(k: int, j: int, n_max: int) -> CountSequence:
         raise InvalidInputError(
             "pattern length must exceed the top interval"
         )
+    # Below k the n! block is the whole answer, so no coefficient is built.
     coeffs = [
         (-1) ** (ell - 1) * comb(j + 1, ell) * perm(k - j - 1, ell)
-        for ell in range(1, j + 2)
+        for ell in range(1, j + 2 if n_max >= k else 1)
     ]
     return _linear(
         f"interval(k={k},j={j})", map(factorial, range(k)), coeffs, n_max
@@ -214,8 +215,10 @@ def thm_long_answer(n_max: int) -> CountSequence:
     _check_length(n_max)
     a = [1, 1, 2, 6, 24]
     b = [0, 0, 1]  # b(0) unused; b(1)=0, b(2)=1
+    b_sum = 0  # b(2) + ... + b(n-2)
     for n in range(3, n_max + 1):
-        b.append(a[n - 2] + b[n - 1] + 2 * sum(b[2 : n - 1]))
+        b.append(a[n - 2] + b[n - 1] + 2 * b_sum)
+        b_sum += b[n - 1]
         if n >= 5:
             a.append(
                 7 * a[n - 1] - 12 * a[n - 2] + 4 * a[n - 3] + 2 * b[n - 2]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from popkit import (
     InvalidPosetError,
     PatternFamily,
     Poset,
+    PopkitError,
     chain,
     complete_bipartite,
     dc_pop,
@@ -84,15 +87,53 @@ class TestFromRelations:
             Poset(3, frozenset({(1, 2), (2, 3)}))
 
 
-def naive_closure(rels):
-    closed = set(rels)
-    while True:
-        extra = {
-            (a, d) for a, b in closed for c, d in closed if b == c
-        } - closed
-        if not extra:
-            return frozenset(closed)
-        closed |= extra
+def warshall_closure(k, pairs):
+    """Transitive closure over labels {1..k} by Warshall's algorithm on a
+    boolean reachability matrix: the reference for the R∘R fixpoint."""
+    reach = [[False] * (k + 1) for _ in range(k + 1)]
+    for a, b in pairs:
+        if not (1 <= a <= k and 1 <= b <= k):
+            raise InvalidInputError(
+                f"label out of range 1..{k} in relation ({a},{b})"
+            )
+        reach[a][b] = True
+    for m in range(1, k + 1):
+        for a in range(1, k + 1):
+            if reach[a][m]:
+                for b in range(1, k + 1):
+                    if reach[m][b]:
+                        reach[a][b] = True
+    return frozenset(
+        (a, b)
+        for a in range(1, k + 1)
+        for b in range(1, k + 1)
+        if reach[a][b]
+    )
+
+
+def reference_from_relations(k, pairs):
+    """Warshall closure, then the cycle message for the smallest label."""
+    closed = warshall_closure(k, pairs)
+    cycle = sorted(a for a, b in closed if a == b)
+    if cycle:
+        raise InvalidPosetError(
+            f"relations contain a cycle through label {cycle[0]}"
+        )
+    return closed
+
+
+def below_something_scan(rels):
+    """The former is_bipartite: no label is both below and above another."""
+    below_something = {a for a, _ in rels}
+    return not any(b in below_something for _, b in rels)
+
+
+def outcome(relations_of):
+    """The relation set a call returns, or its exception type and message."""
+    try:
+        return relations_of()
+    except PopkitError as exc:
+        return type(exc), str(exc)
 
 
 def relation_sets(max_k):
@@ -105,26 +146,74 @@ def relation_sets(max_k):
             )
 
 
+def random_pair_lists(count=300, max_k=9, seed=6):
+    """Seeded pair lists on k <= max_k labels.
+
+    Half follow a random linear order, so they are acyclic and their
+    closures span long paths; the rest are arbitrary pairs, and every
+    tenth list may hold labels outside 1..k.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        k = rng.randint(0, max_k)
+        size = rng.randint(0, 2 * k)
+        if i % 2 == 0:
+            order = rng.sample(range(1, k + 1), k)
+            pairs = []
+            for _ in range(size if k > 1 else 0):
+                x, y = sorted(rng.sample(range(k), 2))
+                pairs.append((order[x], order[y]))
+        else:
+            low, high = (-1, k + 2) if i % 10 == 1 else (1, k)
+            pairs = [
+                (rng.randint(low, high), rng.randint(low, high))
+                for _ in range(size if high >= low else 0)
+            ]
+        yield k, pairs
+
+
 class TestStrictOrderCheck:
-    """Every relation set on at most three labels, against a naive oracle."""
+    """The R∘R closure, closedness check and bipartiteness against the
+    Warshall closure and the former scan."""
 
     def test_poset_accepts_exactly_strict_orders(self):
         for k, rels in relation_sets(3):
             irreflexive = all(a != b for a, b in rels)
-            if irreflexive and naive_closure(rels) == rels:
-                assert Poset(k, rels).relations == rels
+            if warshall_closure(k, rels) != rels:
+                with pytest.raises(
+                    InvalidPosetError, match="not transitively closed"
+                ):
+                    Poset(k, rels)
+            elif irreflexive:
+                p = Poset(k, rels)
+                assert p.relations == rels
+                assert is_bipartite(p) == below_something_scan(rels)
             else:
-                with pytest.raises(InvalidPosetError):
+                with pytest.raises(InvalidPosetError, match="cycle"):
                     Poset(k, rels)
 
     def test_from_relations_closes_then_checks(self):
         for k, rels in relation_sets(3):
-            closed = naive_closure(rels)
-            if all(a != b for a, b in closed):
-                assert from_relations(k, rels).relations == closed
+            pairs = sorted(rels)
+            assert outcome(lambda: from_relations(k, pairs).relations) == (
+                outcome(lambda: reference_from_relations(k, pairs))
+            )
+
+    def test_random_pair_lists_match_warshall(self):
+        results = set()
+        for k, pairs in random_pair_lists():
+            expected = outcome(lambda: reference_from_relations(k, pairs))
+            assert outcome(lambda: from_relations(k, pairs).relations) == (
+                expected
+            )
+            if isinstance(expected, frozenset):
+                results.add("ok")
+                p = Poset(k, expected)
+                assert p.relations == expected
+                assert is_bipartite(p) == below_something_scan(expected)
             else:
-                with pytest.raises(InvalidPosetError):
-                    from_relations(k, rels)
+                results.add(expected[0])
+        assert results == {"ok", InvalidInputError, InvalidPosetError}
 
 
 class TestBuilders:
