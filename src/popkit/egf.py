@@ -5,9 +5,10 @@ sum c(n) x^n / n!, so multiplication is the binomial convolution
 (f g)(n) = sum C(n,i) f(i) g(n-i) and all arithmetic stays in unbounded
 integers.  The composition rules for disjoint-chain patterns live here:
 the quasi-avoider transform A* = (x-1)A + 1, the one-extra-chain
-composition C = A + B A*, its m-fold iteration, and the closed form
-(1 - (1 + (x-1)e^x)^m) / (1-x) for m disjoint two-element chains,
-and the avoidance series of each chain itself.
+composition C = A + B A*, its right fold over m chains (the Horner form
+A_1 + A_1*(A_2 + A_2*(... + A_(m-1)* A_m))), the closed form
+(1 - (1 + (x-1)e^x)^m) / (1-x) for m disjoint two-element chains, and
+the avoidance series of each chain itself.
 """
 
 from __future__ import annotations
@@ -101,14 +102,18 @@ def egf_from_counts(counts: Sequence[int]) -> TruncatedEgf:
     return TruncatedEgf(tuple(counts))
 
 
+def _check_unit(a: TruncatedEgf) -> None:
+    if a.counts[0] != 1:
+        raise InvalidInputError("avoidance series must have a(0) = 1")
+
+
 def quasi_transform(a: TruncatedEgf) -> TruncatedEgf:
     """Quasi-avoider counts from avoider counts: A* = (x-1)A + 1.
 
     Coefficientwise a*(n) = n a(n-1) - a(n), with a*(0) = 0; requires
     a(0) = 1 (one empty permutation) for the constant terms to cancel.
     """
-    if a.counts[0] != 1:
-        raise InvalidInputError("avoidance series must have a(0) = 1")
+    _check_unit(a)
     counts = [0]
     for n in range(1, a.order + 1):
         counts.append(n * a.counts[n - 1] - a.counts[n])
@@ -148,19 +153,19 @@ def chain_egf(word: tuple[int, ...], order: int, cap: int) -> TruncatedEgf:
 def dc_pop_egf(chain_egfs: Sequence[TruncatedEgf]) -> TruncatedEgf:
     """Avoider counts for a disjoint union of chains.
 
-    Takes one avoidance series per chain's classical pattern and
-    combines them: A = sum_i A_i prod_{j<i} ((x-1)A_j + 1).
+    Takes one avoidance series per chain's classical pattern and folds
+    chain_compose over them from the right, A_1 + A_1* (A_2 + ... +
+    A_(m-1)* A_m): the Horner form of sum_i A_i prod_{j<i} A_j*, with
+    m-1 products.
     """
     if not chain_egfs:
         raise InvalidInputError("need at least one chain series")
-    order = chain_egfs[0].order
     for f in chain_egfs:
         _check_orders(chain_egfs[0], f)
-    total = egf_zero(order)
-    running = egf_one(order)  # product of quasi transforms so far
-    for f in chain_egfs:
-        total = egf_add(total, egf_mul(f, running))
-        running = egf_mul(running, quasi_transform(f))
+    *outer, total = chain_egfs
+    _check_unit(total)  # the fold never transforms the innermost series
+    for f in reversed(outer):
+        total = chain_compose(f, total)
     return total
 
 
@@ -178,8 +183,8 @@ def bipartite_dc_closed_form(m: int, order: int = DEFAULT_ORDER) -> TruncatedEgf
     base = TruncatedEgf(
         tuple(0 if n == 0 else n - 1 for n in range(order + 1))
     )
-    power = egf_one(order)
-    for _ in range(m):
+    power = base
+    for _ in range(m - 1):
         power = egf_mul(power, base)
     g = egf_one(order) - power
     counts = [g.counts[0]]

@@ -32,8 +32,13 @@ Pair = tuple[int, int]
 
 
 def _check_labels(k: int, pairs: Iterable[Pair]) -> None:
-    """Reject the first pair, in iteration order, with a label outside 1..k."""
+    """Reject the first pair, in iteration order, with a label that is not
+    an int in 1..k."""
     for a, b in pairs:
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise InvalidInputError(
+                f"label is not an integer in relation ({a!r},{b!r})"
+            )
         if not (1 <= a <= k and 1 <= b <= k):
             raise InvalidInputError(
                 f"label out of range 1..{k} in relation ({a},{b})"
@@ -141,13 +146,12 @@ def n_pattern(word: Permutation | Sequence[int]) -> Poset:
     """Length-4 path pattern encoded by a 4-letter word.
 
     The word lists the labels along the path low-high-low-high, giving
-    relations w1 < w2, w3 < w2, w3 < w4.
+    relations w1 < w2, w3 < w2, w3 < w4: the zigzag of shape ^v^.
     """
     word = word if isinstance(word, Permutation) else Permutation(word)
     if len(word) != 4:
         raise InvalidInputError("word must have length 4")
-    w1, w2, w3, w4 = word
-    return Poset(4, frozenset({(w1, w2), (w3, w2), (w3, w4)}))
+    return zigzag(word, "^v^")
 
 
 SHAPE_ALIASES = {"^": "^", "v": "v", "∧": "^", "∨": "v"}

@@ -10,21 +10,14 @@ counts are computed once per symmetry orbit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .counting import avoidance_sequence
-from .notation import CbSpec, NSpec, poset_text, render_pop
-from .perms import DEFAULT_CAP, Permutation
-from .posets import (
-    PatternFamily,
-    Poset,
-    complete_bipartite,
-    label_complement,
-    n_pattern,
-    vertical_flip,
-)
-
-import itertools
+from .notation import CbSpec, NSpec, PopSpec, build_pop, poset_text, render_pop
+from .perms import DEFAULT_CAP
+from .posets import PatternFamily, Poset, label_complement, vertical_flip
 
 CAVEAT = (
     "equal counting prefixes are evidence of Wilf-equivalence, not proof"
@@ -112,29 +105,22 @@ def classify(
     return WilfReport(family=family.name, n_max=n_max, classes=tuple(classes))
 
 
+def _spec_family(name: str, specs: Sequence[PopSpec]) -> PatternFamily:
+    """A family built from notation ASTs, each named by its canonical text."""
+    return PatternFamily(
+        name=name,
+        members=tuple(build_pop(s) for s in specs),
+        display_names=tuple(render_pop(s) for s in specs),
+    )
+
+
 def n_pattern_family() -> PatternFamily:
     """All 24 length-4 path patterns, one per word."""
-    members = []
-    names = []
-    for word in itertools.permutations((1, 2, 3, 4)):
-        members.append(n_pattern(Permutation(word)))
-        names.append(render_pop(NSpec(word)))
-    return PatternFamily(
-        name="npatterns",
-        members=tuple(members),
-        display_names=tuple(names),
-    )
+    words = itertools.permutations((1, 2, 3, 4))
+    return _spec_family("npatterns", [NSpec(w) for w in words])
 
 
 def cb_family(k: int, a_size: int) -> PatternFamily:
     """All complete bipartite patterns of length k with |upper set| = a_size."""
-    members = []
-    names = []
-    for a_set in itertools.combinations(range(1, k + 1), a_size):
-        members.append(complete_bipartite(k, a_set))
-        names.append(render_pop(CbSpec(k, a_set)))
-    return PatternFamily(
-        name=f"cb:{k}:{a_size}",
-        members=tuple(members),
-        display_names=tuple(names),
-    )
+    a_sets = itertools.combinations(range(1, k + 1), a_size)
+    return _spec_family(f"cb:{k}:{a_size}", [CbSpec(k, a) for a in a_sets])

@@ -1,4 +1,5 @@
-from functools import partial
+import random
+from functools import cache, partial
 from math import comb, factorial
 
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, strategies as st
 
 from popkit import (
     InvalidInputError,
+    PopkitError,
     TruncatedEgf,
     avoidance_sequence,
     bipartite_dc_closed_form,
+    chain,
     chain_compose,
     complete_bipartite,
     count_quasi_avoiders,
@@ -23,6 +26,7 @@ from popkit import (
     egf_zero,
     quasi_transform,
 )
+from popkit import egf as egf_module
 
 counts_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=12)
 
@@ -31,6 +35,67 @@ def catalan_series(order):
     return egf_from_counts(
         [comb(2 * n, n) // (n + 1) for n in range(order + 1)]
     )
+
+
+def running_product_dc_egf(chain_egfs):
+    """sum_i A_i prod_{j<i} A_j* with the product kept as it runs: the
+    former dc_pop_egf, the reference for the right fold."""
+    if not chain_egfs:
+        raise InvalidInputError("need at least one chain series")
+    order = chain_egfs[0].order
+    for f in chain_egfs:
+        if f.order != order:
+            raise InvalidInputError(
+                f"truncation orders differ: {order} vs {f.order}"
+            )
+    total = egf_zero(order)
+    running = egf_one(order)
+    for f in chain_egfs:
+        total = egf_add(total, egf_mul(f, running))
+        running = egf_mul(running, quasi_transform(f))
+    return total
+
+
+BRUTE_ORDER = 8
+BRUTE_WORDS = ((1, 3, 2), (1, 2, 3, 4), (2, 4, 1, 3), (1, 2, 3, 4, 5))
+
+
+@cache
+def brute_chain_counts(word):
+    return avoidance_sequence(chain(word), BRUTE_ORDER).values
+
+
+def random_series(rng, order, unit=True):
+    """One avoidance-like series of the given order, with a(0) = 1 unless
+    unit is False."""
+    kinds = ["one", "exp", "catalan", "random"]
+    if order <= BRUTE_ORDER:
+        kinds.append("brute")
+    kind = rng.choice(kinds)
+    if kind == "one":
+        f = egf_one(order)
+    elif kind == "exp":
+        f = egf_exp(order)
+    elif kind == "catalan":
+        f = catalan_series(order)
+    elif kind == "brute":
+        word = rng.choice(BRUTE_WORDS)
+        f = egf_from_counts(brute_chain_counts(word)[: order + 1])
+    else:
+        f = egf_from_counts(
+            [1] + [rng.randint(-10**6, 10**6) for _ in range(order)]
+        )
+    if unit:
+        return f
+    return egf_from_counts((rng.choice([0, 2, -1]),) + f.counts[1:])
+
+
+def outcome(call):
+    """The counts a call returns, or its exception type and message."""
+    try:
+        return call().counts
+    except PopkitError as exc:
+        return type(exc), str(exc)
 
 
 class TestArithmetic:
@@ -148,6 +213,64 @@ class TestComposition:
     def test_empty_composition_rejected(self):
         with pytest.raises(InvalidInputError):
             dc_pop_egf([])
+        assert outcome(lambda: dc_pop_egf([])) == outcome(
+            lambda: running_product_dc_egf([])
+        )
+
+
+class TestRightFold:
+    """dc_pop_egf as a fold of chain_compose against the running product."""
+
+    def test_seeded_lists_match_running_product(self):
+        rng = random.Random(20261018)
+        for _ in range(400):
+            order = rng.randint(0, 30)
+            series = [random_series(rng, order) for _ in range(rng.randint(1, 5))]
+            assert dc_pop_egf(series).counts == (
+                running_product_dc_egf(series).counts
+            )
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_fold_takes_m_minus_one_products(self, m, monkeypatch):
+        calls = []
+
+        def counted_mul(f, g):
+            calls.append(f.order)
+            return egf_mul(f, g)
+
+        monkeypatch.setattr(egf_module, "egf_mul", counted_mul)
+        dc_pop_egf([catalan_series(10)] * m)
+        assert len(calls) == m - 1
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_errors_match_in_every_position(self, m):
+        rng = random.Random(m)
+        seen = set()
+        for bad in range(m):
+            for wrong_order in (True, False):
+                order = rng.randint(0, 12)
+                series = [random_series(rng, order) for _ in range(m)]
+                if wrong_order:
+                    if m == 1:
+                        continue
+                    series[bad] = egf_exp(order + 1 + rng.randint(0, 3))
+                else:
+                    series[bad] = random_series(rng, order, unit=False)
+                got = outcome(lambda: dc_pop_egf(series))
+                assert got == outcome(lambda: running_product_dc_egf(series))
+                assert got[0] is InvalidInputError
+                seen.add(got[1].split(":")[0])
+        assert seen == (
+            {"avoidance series must have a(0) = 1"}
+            | ({"truncation orders differ"} if m > 1 else set())
+        )
+
+    def test_order_error_wins_over_constant_term(self):
+        # every order is checked before any a(0), as in the running product
+        series = [egf_from_counts([0, 1, 2]), egf_exp(2), egf_exp(3)]
+        got = outcome(lambda: dc_pop_egf(series))
+        assert got == outcome(lambda: running_product_dc_egf(series))
+        assert got == (InvalidInputError, "truncation orders differ: 2 vs 3")
 
 
 class TestBipartiteClosedForm:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -81,6 +82,21 @@ class TestFromRelations:
     def test_direct_poset_label_out_of_range_rejected(self, pair):
         with pytest.raises(InvalidInputError, match="label out of range"):
             Poset(2, frozenset({pair}))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: from_relations(3, [(1.5, 2)]),
+            lambda: Poset(3, frozenset({(1.0, 2)})),
+            lambda: from_relations(3, [("a", 2)]),
+            lambda: Poset(3, frozenset({(1, 2.0)})),
+        ],
+        ids=["float-from-relations", "float-poset", "str-from-relations",
+             "float-upper-poset"],
+    )
+    def test_non_integer_label_rejected(self, build):
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            build()
 
     def test_direct_poset_requires_closed_input(self):
         with pytest.raises(InvalidPosetError):
@@ -239,9 +255,15 @@ class TestBuilders:
         with pytest.raises(InvalidInputError):
             complete_bipartite(4, {5})
 
-    def test_n_pattern(self):
-        p = n_pattern((2, 1, 3, 4))
-        assert p.relations == frozenset({(2, 1), (3, 1), (3, 4)})
+    @pytest.mark.parametrize(
+        "word",
+        list(itertools.permutations((1, 2, 3, 4))),
+        ids=lambda w: "".join(map(str, w)),
+    )
+    def test_n_pattern(self, word):
+        w1, w2, w3, w4 = word
+        p = n_pattern(word)
+        assert p.relations == frozenset({(w1, w2), (w3, w2), (w3, w4)})
 
     def test_n_pattern_needs_length_four(self):
         with pytest.raises(InvalidInputError):

@@ -6,6 +6,8 @@ import pytest
 from popkit import (
     InvalidInputError,
     PatternFamily,
+    Permutation,
+    PopkitError,
     avoidance_sequence,
     cb_family,
     chain,
@@ -16,9 +18,11 @@ from popkit import (
     n_pattern,
     n_pattern_family,
     poset_text,
+    render_pop,
     symmetry_orbit,
     vertical_flip,
 )
+from popkit.notation import CbSpec, NSpec
 
 
 def frontier_orbit(p):
@@ -72,6 +76,42 @@ def reference_classes(family, n_max):
     return classes
 
 
+def loop_n_pattern_family():
+    """The former builder loop: the reference for n_pattern_family."""
+    members = []
+    names = []
+    for word in itertools.permutations((1, 2, 3, 4)):
+        members.append(n_pattern(Permutation(word)))
+        names.append(render_pop(NSpec(word)))
+    return PatternFamily(
+        name="npatterns",
+        members=tuple(members),
+        display_names=tuple(names),
+    )
+
+
+def loop_cb_family(k, a_size):
+    """The former builder loop: the reference for cb_family."""
+    members = []
+    names = []
+    for a_set in itertools.combinations(range(1, k + 1), a_size):
+        members.append(complete_bipartite(k, a_set))
+        names.append(render_pop(CbSpec(k, a_set)))
+    return PatternFamily(
+        name=f"cb:{k}:{a_size}",
+        members=tuple(members),
+        display_names=tuple(names),
+    )
+
+
+def outcome(call):
+    """The family a call returns, or its exception type and message."""
+    try:
+        return call()
+    except PopkitError as exc:
+        return type(exc), str(exc)
+
+
 class TestSymmetryOrbit:
     def test_four_element_orbit(self):
         assert len(symmetry_orbit(n_pattern((2, 1, 3, 4)))) == 4
@@ -122,6 +162,23 @@ class TestFamilies:
             cb_family(4, 0)
         with pytest.raises(InvalidInputError):
             cb_family(4, 4)
+
+    def test_n_family_matches_builder_loop(self):
+        assert n_pattern_family() == loop_n_pattern_family()
+
+    def test_cb_family_matches_builder_loop(self):
+        kinds = set()
+        for k in range(1, 9):
+            for a_size in range(k + 2):
+                got = outcome(lambda: cb_family(k, a_size))
+                assert got == outcome(lambda: loop_cb_family(k, a_size))
+                kinds.add(type(got).__name__ if isinstance(got, PatternFamily)
+                          else got[1])
+        assert kinds == {
+            "PatternFamily",
+            "upper set must be a nonempty proper subset of the labels",
+            "a pattern family cannot be empty",
+        }
 
 
 class TestClassify:
