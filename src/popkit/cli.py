@@ -9,9 +9,10 @@ Subcommands:
     verify     named generator vs brute force, term by term
     parse      canonicalize a pattern string and show its relations
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 enumeration cap exceeded.  The cap defaults to 12, overridable with
---cap or the POPKIT_CAP environment variable (the flag wins).
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error
+or an --out file that cannot be written, 3 enumeration cap exceeded.
+The cap defaults to 12, overridable with --cap or the POPKIT_CAP
+environment variable (the flag wins).
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .counting import avoidance_sequence, count_avoiders, count_quasi_avoiders
 from .egf import chain_egf, dc_pop_egf
@@ -41,7 +43,7 @@ EXIT_RESOURCE = 3
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return args.cap
     raw = os.environ.get(ENV_CAP)
     if raw is None:
@@ -54,66 +56,67 @@ def _resolve_cap(args: argparse.Namespace) -> int:
         ) from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        print(text)
+def _output(
+    args: argparse.Namespace,
+    payload: object,
+    lines: Iterable[str],
+    rows: Iterable[Sequence[object]] | None = None,
+    code: int = EXIT_OK,
+) -> int:
+    """Render a command's result in --format, write it, return its exit code.
+
+    payload is the JSON object, lines the table text and rows the CSV
+    rows, header first; a command passes only the forms its --format
+    choices allow.  This is the only code that picks a format or writes.
+    """
+    if args.format == "json":
+        text = json.dumps(payload, indent=2)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        text = buf.getvalue().rstrip("\r\n")
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        text = "\n".join(lines)
+    if args.out is None:
+        print(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise InvalidInputError(
+            f"cannot write {args.out}: {exc.strerror or exc}"
+        ) from None
+    return code
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\r\n")
+def _sequence_views(
+    identity: dict[str, object], values: Sequence[int]
+) -> tuple[dict[str, object], Iterator[str], Iterator[Sequence[object]]]:
+    """JSON payload, aligned table lines and CSV rows of a(0..).
 
-
-def _sequence_text(
-    fmt: str, identity: dict[str, object], values: Sequence[int]
-) -> str:
-    if fmt == "json":
-        payload = dict(identity)
-        payload["values"] = [str(v) for v in values]
-        return json.dumps(payload, indent=2)
-    if fmt == "csv":
-        return _csv_text(
-            ["n", "value"], [[str(n), str(v)] for n, v in enumerate(values)]
-        )
-    width = max(len(str(len(values) - 1)), 1)
-    return "\n".join(
-        f"{n:>{width}}  {v}" for n, v in enumerate(values)
-    )
+    Each value becomes text once; the lines and rows are generated only
+    when --format asks for them.
+    """
+    texts = [str(v) for v in values]
+    width = len(str(len(texts) - 1))
+    lines = (f"{n:>{width}}  {t}" for n, t in enumerate(texts))
+    rows = itertools.chain([("n", "value")], enumerate(texts))
+    return {**identity, "values": texts}, lines, rows
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     spec = parse_pop(args.pattern)
-    poset = build_pop(spec)
-    if args.quasi:
-        value = count_quasi_avoiders(poset, args.n, cap=cap)
-    else:
-        value = count_avoiders(poset, args.n, cap=cap)
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "pattern": render_pop(spec),
-                "n": args.n,
-                "quasi": bool(args.quasi),
-                "count": str(value),
-            },
-            indent=2,
-        )
-    elif args.format == "csv":
-        text = _csv_text(
-            ["pattern", "n", "quasi", "count"],
-            [[render_pop(spec), str(args.n), str(bool(args.quasi)).lower(), str(value)]],
-        )
-    else:
-        text = str(value)
-    _emit(text, args.out)
-    return EXIT_OK
+    count = count_quasi_avoiders if args.quasi else count_avoiders
+    value = str(count(build_pop(spec), args.n, cap=cap))
+    pattern = render_pop(spec)
+    payload = {"pattern": pattern, "n": args.n, "quasi": args.quasi, "count": value}
+    rows = [
+        ["pattern", "n", "quasi", "count"],
+        [pattern, str(args.n), str(args.quasi).lower(), value],
+    ]
+    return _output(args, payload, [value], rows)
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
@@ -125,20 +128,12 @@ def _cmd_seq(args: argparse.Namespace) -> int:
             raise InvalidInputError("--k/--j apply only to --theorem")
         spec = parse_pop(args.pattern)
         seq = avoidance_sequence(build_pop(spec), args.nmax, cap=cap)
-        identity: dict[str, object] = {
-            "pattern": render_pop(spec),
-            "source": seq.source,
-            "nmax": args.nmax,
-        }
+        identity: dict[str, object] = {"pattern": render_pop(spec)}
     else:
         seq = theorem_sequence(args.theorem, args.nmax, k=args.k, j=args.j)
-        identity = {
-            "theorem": str(seq.pattern),
-            "source": seq.source,
-            "nmax": args.nmax,
-        }
-    _emit(_sequence_text(args.format, identity, seq.values), args.out)
-    return EXIT_OK
+        identity = {"theorem": str(seq.pattern)}
+    identity.update(source=seq.source, nmax=args.nmax)
+    return _output(args, *_sequence_views(identity, seq.values))
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
@@ -151,28 +146,26 @@ def _cmd_series(args: argparse.Namespace) -> int:
         raise InvalidInputError("--dc takes disjoint-chain notation like [12|43|65]")
     build_pop(spec)  # validate the words before any series work
     series = dc_pop_egf([chain_egf(w, args.order, cap) for w in spec.words])
-    identity: dict[str, object] = {
+    identity = {
         "pattern": render_pop(spec),
         "source": "egf-expansion",
         "order": args.order,
     }
-    _emit(_sequence_text(args.format, identity, series.counts), args.out)
-    return EXIT_OK
+    return _output(args, *_sequence_views(identity, series.counts))
 
 
 def _parse_family(text: str):
     if text == "npatterns":
         return n_pattern_family()
-    if text.startswith("cb:"):
-        parts = text.split(":")
-        if len(parts) == 3:
-            try:
-                k, a_size = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise InvalidInputError(
-                    f"bad family {text!r}; use npatterns or cb:K:A_SIZE"
-                ) from None
-            return cb_family(k, a_size)
+    kind, *params = text.split(":")
+    if kind == "cb" and len(params) == 2:
+        try:
+            k, a_size = map(int, params)
+        except ValueError:
+            raise InvalidInputError(
+                f"bad family {text!r}; use npatterns or cb:K:A_SIZE"
+            ) from None
+        return cb_family(k, a_size)
     raise InvalidInputError(
         f"unknown family {text!r}; use npatterns or cb:K:A_SIZE"
     )
@@ -180,43 +173,35 @@ def _parse_family(text: str):
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
-    family = _parse_family(args.family)
-    report = classify(family, n_max=args.nmax, cap=cap)
-    if args.format == "json":
-        payload = {
-            "family": report.family,
-            "nmax": report.n_max,
-            "caveat": report.caveat,
-            "classes": [
-                {
-                    "prefix": [str(v) for v in cls.prefix],
-                    "size": cls.size,
-                    "members": list(cls.member_names),
-                    "orbit_representatives": [
-                        poset_text(p) for p in cls.orbit_representatives
-                    ],
-                }
-                for cls in report.classes
+    report = classify(_parse_family(args.family), n_max=args.nmax, cap=cap)
+    classes = [
+        {
+            "prefix": [str(v) for v in cls.prefix],
+            "size": cls.size,
+            "members": list(cls.member_names),
+            "orbit_representatives": [
+                poset_text(p) for p in cls.orbit_representatives
             ],
         }
-        text = json.dumps(payload, indent=2)
-    else:
-        lines = [
-            f"family {report.family}: {len(report.classes)} classes "
-            f"by a(0..{report.n_max})",
-            f"note: {report.caveat}",
+        for cls in report.classes
+    ]
+    lines = [
+        f"family {report.family}: {len(classes)} classes by a(0..{report.n_max})",
+        f"note: {report.caveat}",
+    ]
+    for i, cls in enumerate(classes, start=1):
+        lines += [
+            f"class {i} ({cls['size']} members): " + ",".join(cls["prefix"]),
+            "  members: " + " ".join(cls["members"]),
+            "  orbit representatives: " + " ".join(cls["orbit_representatives"]),
         ]
-        for i, cls in enumerate(report.classes, start=1):
-            prefix = ",".join(str(v) for v in cls.prefix)
-            lines.append(f"class {i} ({cls.size} members): {prefix}")
-            lines.append("  members: " + " ".join(cls.member_names))
-            lines.append(
-                "  orbit representatives: "
-                + " ".join(poset_text(p) for p in cls.orbit_representatives)
-            )
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return EXIT_OK
+    payload = {
+        "family": report.family,
+        "nmax": report.n_max,
+        "caveat": report.caveat,
+        "classes": classes,
+    }
+    return _output(args, payload, lines)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -224,64 +209,42 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     theorem_seq = theorem_sequence(args.theorem, args.nmax, k=args.k, j=args.j)
     spec = parse_pop(args.pattern)
     brute_seq = avoidance_sequence(build_pop(spec), args.nmax, cap=cap)
-    matches = theorem_seq.values == brute_seq.values
+    pairs = enumerate(zip(theorem_seq.values, brute_seq.values))
+    first_bad = next((n for n, (a, b) in pairs if a != b), None)
     lines = [
-        f"theorem {theorem_seq.pattern}: "
-        + ",".join(str(v) for v in theorem_seq.values),
-        f"brute force {render_pop(spec)}: "
-        + ",".join(str(v) for v in brute_seq.values),
+        f"theorem {theorem_seq.pattern}: " + ",".join(map(str, theorem_seq.values)),
+        f"brute force {render_pop(spec)}: " + ",".join(map(str, brute_seq.values)),
+        f"match through n={args.nmax}"
+        if first_bad is None
+        else f"MISMATCH at n={first_bad}",
     ]
-    if matches:
-        lines.append(f"match through n={args.nmax}")
-    else:
-        first_bad = next(
-            n
-            for n, (a, b) in enumerate(zip(theorem_seq.values, brute_seq.values))
-            if a != b
-        )
-        lines.append(f"MISMATCH at n={first_bad}")
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK if matches else EXIT_MISMATCH
+    code = EXIT_OK if first_bad is None else EXIT_MISMATCH
+    return _output(args, None, lines, code=code)
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     spec = parse_pop(args.pattern)
     poset = build_pop(spec)
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "input": args.pattern,
-                "canonical": render_pop(spec),
-                "k": poset.k,
-                "relations": [list(pair) for pair in sorted(poset.relations)],
-            },
-            indent=2,
-        )
-    else:
-        text = "\n".join(
-            [
-                f"canonical: {render_pop(spec)}",
-                f"poset: {poset_text(poset)}",
-            ]
-        )
-    _emit(text, args.out)
-    return EXIT_OK
+    canonical = render_pop(spec)
+    payload = {
+        "input": args.pattern,
+        "canonical": canonical,
+        "k": poset.k,
+        "relations": [list(pair) for pair in sorted(poset.relations)],
+    }
+    lines = [f"canonical: {canonical}", f"poset: {poset_text(poset)}"]
+    return _output(args, payload, lines)
 
 
-def _add_common(sub: argparse.ArgumentParser, fmt_choices=("table", "json", "csv")) -> None:
+def _add_common(
+    sub: argparse.ArgumentParser, fmt_choices=("table", "json", "csv")
+) -> None:
+    cap_help = f"enumeration cap (default {DEFAULT_CAP}; env {ENV_CAP})"
+    sub.add_argument("--cap", type=int, help=cap_help)
     sub.add_argument(
-        "--cap",
-        type=int,
-        default=None,
-        help=f"enumeration cap (default {DEFAULT_CAP}; env {ENV_CAP})",
+        "--format", choices=fmt_choices, default=fmt_choices[0], help="output format"
     )
-    sub.add_argument(
-        "--format",
-        choices=fmt_choices,
-        default=fmt_choices[0],
-        help="output format",
-    )
-    sub.add_argument("--out", default=None, help="write output to a file")
+    sub.add_argument("--out", help="write output to a file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,14 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=_cmd_count)
 
     p_seq = subs.add_parser("seq", help="counting sequence a(0..nmax)")
-    p_seq.add_argument("--pattern", default=None, help="pattern notation (brute force)")
-    p_seq.add_argument(
-        "--theorem",
-        default=None,
-        help="generator id: " + ", ".join(sorted(THEOREM_IDS)),
-    )
-    p_seq.add_argument("--k", type=int, default=None, help="pattern length parameter")
-    p_seq.add_argument("--j", type=int, default=None, help="interval width parameter")
+    p_seq.add_argument("--pattern", help="pattern notation (brute force)")
+    theorem_help = "generator id: " + ", ".join(sorted(THEOREM_IDS))
+    p_seq.add_argument("--theorem", help=theorem_help)
+    p_seq.add_argument("--k", type=int, help="pattern length parameter")
+    p_seq.add_argument("--j", type=int, help="interval width parameter")
     p_seq.add_argument("--nmax", type=int, required=True)
     _add_common(p_seq)
     p_seq.set_defaults(func=_cmd_seq)
@@ -336,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--theorem", required=True)
     p_verify.add_argument("--pattern", required=True)
-    p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--j", type=int, default=None)
+    p_verify.add_argument("--k", type=int)
+    p_verify.add_argument("--j", type=int)
     p_verify.add_argument("--nmax", type=int, required=True)
     _add_common(p_verify, fmt_choices=("table",))
     p_verify.set_defaults(func=_cmd_verify)

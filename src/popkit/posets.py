@@ -32,9 +32,17 @@ Pair = tuple[int, int]
 
 
 def _check_labels(k: int, pairs: Iterable[Pair]) -> None:
-    """Reject the first pair, in iteration order, with a label that is not
-    an int in 1..k."""
-    for a, b in pairs:
+    """Reject a size k that is not a non-negative int, then the first
+    pair, in iteration order, that is not a pair of int labels in 1..k."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InvalidInputError(f"size is not an integer: {k!r}")
+    if k < 0:
+        raise InvalidInputError(f"negative size: {k}")
+    for pair in pairs:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"relation is not a pair: {pair!r}") from None
         if not (isinstance(a, int) and isinstance(b, int)):
             raise InvalidInputError(
                 f"label is not an integer in relation ({a!r},{b!r})"
@@ -66,8 +74,6 @@ class Poset:
     relations: frozenset[Pair]
 
     def __post_init__(self):
-        if self.k < 0:
-            raise InvalidInputError(f"negative size: {self.k}")
         rels = frozenset(self.relations)
         object.__setattr__(self, "relations", rels)
         _check_labels(self.k, rels)
@@ -75,11 +81,11 @@ class Poset:
             raise InvalidPosetError("relations are not transitively closed")
         # A closed relation is antisymmetric once it is irreflexive:
         # (a, b) and (b, a) close to (a, a).
-        for a in range(1, self.k + 1):
-            if (a, a) in rels:
-                raise InvalidPosetError(
-                    f"relations contain a cycle through label {a}"
-                )
+        loops = [a for a, b in rels if a == b]
+        if loops:
+            raise InvalidPosetError(
+                f"relations contain a cycle through label {min(loops)}"
+            )
 
     def __repr__(self) -> str:
         pairs = ",".join(f"({a},{b})" for a, b in sorted(self.relations))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .counting import avoidance_sequence
+from .errors import InvalidInputError
 from .notation import CbSpec, NSpec, PopSpec, build_pop, poset_text, render_pop
 from .perms import DEFAULT_CAP
 from .posets import PatternFamily, Poset, label_complement, vertical_flip
@@ -122,5 +123,7 @@ def n_pattern_family() -> PatternFamily:
 
 def cb_family(k: int, a_size: int) -> PatternFamily:
     """All complete bipartite patterns of length k with |upper set| = a_size."""
+    if a_size < 0:
+        raise InvalidInputError(f"negative upper set size: {a_size}")
     a_sets = itertools.combinations(range(1, k + 1), a_size)
     return _spec_family(f"cb:{k}:{a_size}", [CbSpec(k, a) for a in a_sets])

@@ -137,6 +137,12 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", "--family", "everything")
         assert code == 2
 
+    def test_negative_subset_size(self, capsys):
+        code, out, err = run(capsys, "classify", "--family", "cb:3:-1")
+        assert code == 2
+        assert out == ""
+        assert err == "popkit: negative upper set size: -1\n"
+
 
 class TestVerify:
     def test_matching_theorem_exits_zero(self, capsys):
@@ -183,6 +189,14 @@ class TestParse:
         code, _, err = run(capsys, "parse", "--pattern", "cb:4:{1,2")
         assert code == 2
         assert "offset 9" in err
+
+    def test_huge_size_parses(self, capsys):
+        code, out, _ = run(capsys, "parse", "--pattern", "rel:99999999999999999999:{}")
+        assert code == 0
+        assert out == (
+            "canonical: rel:99999999999999999999:{}\n"
+            "poset: rel:99999999999999999999:{}\n"
+        )
 
     def test_json_relations(self, capsys):
         code, out, _ = run(
@@ -279,3 +293,26 @@ class TestOutFile:
         assert code == 0
         assert out == ""
         assert target.read_text().strip() == "59"
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_unwritable_path_exits_two(self, capsys, tmp_path, fmt):
+        missing = tmp_path / "no-such-dir" / "out.txt"
+        code, out, err = run(
+            capsys,
+            "seq", "--theorem", "b1", "--k", "3", "--nmax", "4",
+            "--format", fmt, "--out", str(missing),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"popkit: cannot write {missing}: No such file or directory\n"
+        assert not missing.parent.exists()
+
+    def test_directory_as_out_exits_two(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "verify", "--theorem", "b1", "--k", "3",
+            "--pattern", "cb:4:{1}", "--nmax", "4", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"popkit: cannot write {tmp_path}: Is a directory\n"

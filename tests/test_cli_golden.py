@@ -210,6 +210,11 @@ GOLDEN = {
         0,
         "0  1\n",
     ),
+    "seq-ten-terms-table": (
+        ["seq", "--theorem", "b1", "--k", "3", "--nmax", "9"],
+        0,
+        "0  1\n1  1\n2  2\n3  4\n4  8\n5  16\n6  32\n7  64\n8  128\n9  256\n",
+    ),
     "series-table": (SERIES, 0, values_table(DC_12_34)),
     "series-json": (
         SERIES + ["--format", "json"],

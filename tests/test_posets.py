@@ -90,13 +90,49 @@ class TestFromRelations:
             lambda: Poset(3, frozenset({(1.0, 2)})),
             lambda: from_relations(3, [("a", 2)]),
             lambda: Poset(3, frozenset({(1, 2.0)})),
+            lambda: from_relations(3.0, [(1, 2)]),
+            lambda: from_relations(True, []),
+            lambda: Poset(True, frozenset()),
+            lambda: Poset(2.0, frozenset()),
+            lambda: from_relations("3", [(1, 2)]),
         ],
         ids=["float-from-relations", "float-poset", "str-from-relations",
-             "float-upper-poset"],
+             "float-upper-poset", "float-size-from-relations",
+             "bool-size-from-relations", "bool-size-poset", "float-size-poset",
+             "str-size-from-relations"],
     )
     def test_non_integer_label_rejected(self, build):
         with pytest.raises(InvalidInputError, match="not an integer"):
             build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: from_relations(3, [(1, 2, 3)]),
+            lambda: from_relations(3, [(1, 2), (1,)]),
+            lambda: from_relations(3, [5]),
+            lambda: Poset(3, frozenset({(1, 2, 3)})),
+            lambda: Poset(3, frozenset({()})),
+        ],
+        ids=["triple-from-relations", "single-from-relations",
+             "int-from-relations", "triple-poset", "empty-poset"],
+    )
+    def test_relation_not_a_pair_rejected(self, build):
+        with pytest.raises(InvalidInputError, match="relation is not a pair"):
+            build()
+
+    def test_negative_size_reported_before_labels(self):
+        with pytest.raises(InvalidInputError, match="negative size: -1"):
+            from_relations(-1, [(1, 2)])
+        with pytest.raises(InvalidInputError, match="negative size: -1"):
+            Poset(-1, frozenset({(1, 2)}))
+
+    def test_huge_size_checks_only_the_relations(self):
+        # Irreflexivity scans the pairs, not the labels 1..k.
+        k = 10**20
+        assert from_relations(k, [(7, 9), (9, 8)]).less(7, 8)
+        with pytest.raises(InvalidPosetError, match="through label 5$"):
+            from_relations(k, [(9, 9), (6, 5), (5, 6), (k, k)])
 
     def test_direct_poset_requires_closed_input(self):
         with pytest.raises(InvalidPosetError):

@@ -163,6 +163,11 @@ class TestFamilies:
         with pytest.raises(InvalidInputError):
             cb_family(4, 4)
 
+    @pytest.mark.parametrize("k", [3, 0, -1])
+    def test_cb_family_negative_subset_size(self, k):
+        with pytest.raises(InvalidInputError, match="negative upper set size: -1"):
+            cb_family(k, -1)
+
     def test_n_family_matches_builder_loop(self):
         assert n_pattern_family() == loop_n_pattern_family()
 
