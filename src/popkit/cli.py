@@ -27,7 +27,7 @@ import sys
 from typing import Iterable, Iterator, Sequence
 
 from .counting import avoidance_sequence, count_avoiders, count_quasi_avoiders
-from .egf import chain_egf, dc_pop_egf
+from .egf import DEFAULT_ORDER, chain_egf, dc_pop_egf
 from .errors import InvalidInputError, PopkitError, ResourceLimitError
 from .notation import DcSpec, build_pop, parse_pop, poset_text, render_pop
 from .perms import DEFAULT_CAP
@@ -70,19 +70,19 @@ def _output(
     choices allow.  This is the only code that picks a format or writes.
     """
     if args.format == "json":
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf).writerows(rows)
-        text = buf.getvalue().rstrip("\r\n")
+        text = buf.getvalue()
     else:
-        text = "\n".join(lines)
+        text = "\n".join(lines) + "\n"
     if args.out is None:
-        print(text)
+        sys.stdout.write(text)
         return code
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise InvalidInputError(
             f"cannot write {args.out}: {exc.strerror or exc}"
@@ -279,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument(
         "--dc", required=True, help='chain words, e.g. "[12|43|65]"'
     )
-    p_series.add_argument("--order", type=int, default=15, help="truncation order")
+    p_series.add_argument(
+        "--order", type=int, default=DEFAULT_ORDER, help="truncation order"
+    )
     _add_common(p_series)
     p_series.set_defaults(func=_cmd_series)
 

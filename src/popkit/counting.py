@@ -88,8 +88,8 @@ def _avoider_counts(p: Poset, n_max: int) -> list[int]:
         )
     k = p.k
     table = _slot_constraints(p)
-    below = [s - 1 for s, smaller_first in table[k] if smaller_first]
-    above = [s - 1 for s, smaller_first in table[k] if not smaller_first]
+    below = [s for s, smaller_first in table.get(k, ()) if smaller_first]
+    above = [s for s, smaller_first in table.get(k, ()) if not smaller_first]
     counts = [0] * (n_max + 1)
     stack: list[tuple[int, ...]] = [()]
     while stack:

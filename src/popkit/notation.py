@@ -101,12 +101,9 @@ class _Cursor:
         self.text = text
         self.pos = 0
 
-    def _byte_offset(self, pos: int | None = None) -> int:
-        pos = self.pos if pos is None else pos
-        return len(self.text[:pos].encode("utf-8"))
-
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> None:
-        raise ParseError(message, self._byte_offset(), expected)
+        offset = len(self.text[: self.pos].encode("utf-8"))
+        raise ParseError(message, offset, expected)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -182,12 +179,8 @@ def parse_pop(text: str) -> PopSpec:
     """
     cur = _Cursor(text)
     cur.skip_ws()
-    kind = None
-    # Longest match first so "chain" is not read as "c"+garbage.
-    for candidate in sorted(KINDS, key=len, reverse=True):
-        if cur.try_eat(candidate):
-            kind = candidate
-            break
+    # No kind is a prefix of another, so at most one matches.
+    kind = next((kind for kind in KINDS if cur.try_eat(kind)), None)
     if kind is None:
         cur.fail("expected a pattern kind", KINDS)
     cur.eat(":")

@@ -46,6 +46,14 @@ class TestCount:
         assert rows[0] == ["pattern", "n", "quasi", "count"]
         assert rows[1][3] == "14"
 
+    def test_pattern_far_longer_than_n(self, capsys):
+        # Every 3-permutation avoids a pattern with more labels than 3.
+        code, out, _ = run(
+            capsys, "count", "--pattern", "rel:99999999999999999999:{}", "--n", "3"
+        )
+        assert code == 0
+        assert out == "6\n"
+
 
 class TestSeq:
     def test_brute_force_sequence(self, capsys):

@@ -1,8 +1,8 @@
 """Exact CLI output, byte for byte, for every command in every format.
 
 These pin what the looser checks in test_cli.py leave open: table
-alignment, CSV line endings (the csv module's CRLF between rows, one
-LF after the last), JSON indentation and key order, and the order of
+alignment, CSV line endings (RFC 4180: CRLF after every row, the last
+one included), JSON indentation and key order, and the order of
 the verify lines.  Inputs are kept small so the whole file runs fast.
 """
 
@@ -34,7 +34,7 @@ def values_table(values: list[str]) -> str:
 
 def values_csv(values: list[str]) -> str:
     rows = ["n,value"] + [f"{n},{v}" for n, v in enumerate(values)]
-    return "\r\n".join(rows) + "\n"
+    return "".join(row + "\r\n" for row in rows)
 
 
 COUNT = ["count", "--pattern", "n:2134", "--n", "5"]
@@ -159,7 +159,7 @@ GOLDEN = {
     "count-csv": (
         COUNT + ["--format", "csv"],
         0,
-        "pattern,n,quasi,count\r\nn:2134,5,false,59\n",
+        "pattern,n,quasi,count\r\nn:2134,5,false,59\r\n",
     ),
     "quasi-table": (QUASI, 0, "176\n"),
     "quasi-json": (
@@ -179,7 +179,7 @@ GOLDEN = {
     "quasi-csv": (
         QUASI + ["--format", "csv"],
         0,
-        'pattern,n,quasi,count\r\n"cb:4:{1,2}",6,true,176\n',
+        'pattern,n,quasi,count\r\n"cb:4:{1,2}",6,true,176\r\n',
     ),
     "seq-pattern-table": (SEQ_PATTERN, 0, values_table(CB4_12)),
     "seq-pattern-json": (

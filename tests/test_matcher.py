@@ -1,6 +1,7 @@
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from popkit import (
     InvalidInputError,
@@ -14,10 +15,22 @@ from popkit import (
     from_relations,
     n_pattern,
     occurrences,
+    pop_from_text,
     quasi_avoids,
     reduce,
     zigzag,
 )
+from popkit.matcher import _slot_constraints
+
+# One pattern of each notation kind.
+KIND_PATTERNS = [
+    "chain:132",
+    "cb:4:{1,2}",
+    "n:3142",
+    "dc:[12|43]",
+    "zz:^v^v:31425",
+    "rel:3:{(3,1),(2,1)}",
+]
 
 
 def naive_count(values, p):
@@ -29,6 +42,22 @@ def naive_count(values, p):
         ):
             total += 1
     return total
+
+
+def reduced_quasi_avoids(pi, p):
+    """Reference: the prefix reduced to a permutation before the check."""
+    return contains(pi, p) and avoids(reduce(pi[:-1]), p)
+
+
+@st.composite
+def shuffled_posets(draw, max_k=5):
+    """Posets on at most max_k labels whose relations all follow one
+    drawn linear extension, so they are acyclic by construction."""
+    k = draw(st.integers(1, max_k))
+    order = draw(st.permutations(range(1, k + 1)))
+    pairs = [(order[i], order[j]) for i in range(k) for j in range(i + 1, k)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return from_relations(k, [pair for pair, kept in zip(pairs, keep) if kept])
 
 
 class TestOccurrences:
@@ -114,5 +143,33 @@ class TestQuasiAvoids:
         p = dc_pop([(1, 2), (3, 4)])
         for n in range(1, 7):
             for pi in permutations(range(1, n + 1)):
-                expected = contains(pi, p) and avoids(reduce(pi[:-1]), p)
-                assert quasi_avoids(pi, p) == expected
+                assert quasi_avoids(pi, p) == reduced_quasi_avoids(pi, p)
+
+    @pytest.mark.parametrize("text", KIND_PATTERNS)
+    def test_equals_reduce_based_definition(self, text):
+        p = pop_from_text(text)
+        for n in range(1, 7):
+            for pi in permutations(range(1, n + 1)):
+                assert quasi_avoids(pi, p) == reduced_quasi_avoids(pi, p)
+
+    @given(st.data())
+    def test_equals_reduce_based_definition_on_random_posets(self, data):
+        p = data.draw(shuffled_posets())
+        n = data.draw(st.integers(1, 7))
+        pi = data.draw(st.permutations(range(1, n + 1)))
+        assert quasi_avoids(pi, p) == reduced_quasi_avoids(pi, p)
+
+
+class TestSearchPlan:
+    def test_plan_is_sized_by_relations(self):
+        p = pop_from_text("rel:100000:{(1,2)}")
+        assert len(_slot_constraints(p)) <= len(p.relations)
+
+    def test_pattern_far_longer_than_permutation(self):
+        p = pop_from_text("rel:99999999999999999999:{}")
+        pi = (1, 2, 3)
+        assert contains(pi, p) is False
+        assert list(occurrences(pi, p)) == []
+        assert count_occurrences(pi, p) == 0
+        assert avoids(pi, p) is True
+        assert quasi_avoids(pi, p) is False
