@@ -29,10 +29,10 @@ from typing import Iterable, Iterator, Sequence
 from .counting import avoidance_sequence, count_avoiders, count_quasi_avoiders
 from .egf import DEFAULT_ORDER, chain_egf, dc_pop_egf
 from .errors import InvalidInputError, PopkitError, ResourceLimitError
-from .notation import DcSpec, build_pop, parse_pop, poset_text, render_pop
+from .notation import build_pop, parse_pop, poset_text, render_pop
 from .perms import DEFAULT_CAP
 from .recurrences import theorem_sequence, THEOREM_IDS
-from .wilf import cb_family, classify, n_pattern_family
+from .wilf import DEFAULT_NMAX, cb_family, classify, n_pattern_family
 
 ENV_CAP = "POPKIT_CAP"
 
@@ -142,8 +142,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if not text.startswith("dc:"):
         text = "dc:" + text
     spec = parse_pop(text)
-    if not isinstance(spec, DcSpec):
-        raise InvalidInputError("--dc takes disjoint-chain notation like [12|43|65]")
     build_pop(spec)  # validate the words before any series work
     series = dc_pop_egf([chain_egf(w, args.order, cap) for w in spec.words])
     identity = {
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument(
         "--family", required=True, help="npatterns or cb:K:A_SIZE"
     )
-    p_classify.add_argument("--nmax", type=int, default=9)
+    p_classify.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
     _add_common(p_classify, fmt_choices=("table", "json"))
     p_classify.set_defaults(func=_cmd_classify)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import InvalidInputError
-from .perms import Permutation
+from .perms import Permutation, _check_distinct
 from .posets import Poset
 
 # Search plan, one entry per slot s (1-based) that a relation names: the
@@ -63,8 +63,10 @@ def _search(values: Sequence[int], k: int, table: _Plan) -> Iterator[tuple[int, 
 
 
 def _matches(pi: Permutation | Sequence[int], p: Poset) -> Iterator[tuple[int, ...]]:
-    """Occurrences of p in pi as 0-based position tuples."""
-    return _search(tuple(pi), p.k, _slot_constraints(p))
+    """Occurrences of p in pi as 0-based position tuples; ties are rejected."""
+    values = tuple(pi)
+    _check_distinct(values)
+    return _search(values, p.k, _slot_constraints(p))
 
 
 def occurrences(pi: Permutation | Sequence[int], p: Poset) -> Iterator[tuple[int, ...]]:

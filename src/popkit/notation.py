@@ -156,6 +156,22 @@ class _Cursor:
             self.fail("expected a word", ("digit 1-9", "'('"))
         return tuple(letters)
 
+    def parse_pair(self) -> tuple[int, int]:
+        self.eat("(")
+        a = self.parse_int()
+        self.eat(",")
+        b = self.parse_int()
+        self.eat(")")
+        return a, b
+
+    def parse_list(self, item, sep: str, close: str) -> list:
+        """Read item (sep item)* close; the caller has eaten the opener."""
+        items = [item()]
+        while self.try_eat(sep):
+            items.append(item())
+        self.eat(close)
+        return items
+
     def parse_shape(self) -> str:
         self.skip_ws()
         start = self.pos
@@ -193,18 +209,10 @@ def parse_pop(text: str) -> PopSpec:
         k = cur.parse_int()
         cur.eat(":")
         cur.eat("{")
-        labels = [cur.parse_int()]
-        while cur.try_eat(","):
-            labels.append(cur.parse_int())
-        cur.eat("}")
-        spec = CbSpec(k, tuple(labels))
+        spec = CbSpec(k, tuple(cur.parse_list(cur.parse_int, ",", "}")))
     elif kind == "dc":
         cur.eat("[")
-        words = [cur.parse_word()]
-        while cur.try_eat("|"):
-            words.append(cur.parse_word())
-        cur.eat("]")
-        spec = DcSpec(tuple(words))
+        spec = DcSpec(tuple(cur.parse_list(cur.parse_word, "|", "]")))
     elif kind == "zz":
         shape = cur.parse_shape()
         cur.eat(":")
@@ -213,18 +221,7 @@ def parse_pop(text: str) -> PopSpec:
         k = cur.parse_int()
         cur.eat(":")
         cur.eat("{")
-        pairs = []
-        if not cur.try_eat("}"):
-            while True:
-                cur.eat("(")
-                a = cur.parse_int()
-                cur.eat(",")
-                b = cur.parse_int()
-                cur.eat(")")
-                pairs.append((a, b))
-                if not cur.try_eat(","):
-                    break
-            cur.eat("}")
+        pairs = [] if cur.try_eat("}") else cur.parse_list(cur.parse_pair, ",", "}")
         spec = RelSpec(k, tuple(pairs))
 
     cur.expect_end()

@@ -13,6 +13,7 @@ Values and positions are one-indexed throughout.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -37,22 +38,20 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
+@dataclass(frozen=True)
 class Permutation:
     """An immutable permutation of {1..n} in one-line notation."""
 
-    __slots__ = ("entries",)
+    entries: tuple[int, ...]
 
-    def __init__(self, entries: Sequence[int]):
-        entries = tuple(entries)
+    def __post_init__(self):
+        entries = tuple(self.entries)
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
             raise InvalidInputError(
                 f"not a permutation of 1..{n}: {entries!r}"
             )
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -62,12 +61,6 @@ class Permutation:
 
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.entries)!r})"
@@ -113,14 +106,19 @@ class Permutation:
         return Permutation(inv)
 
 
+def _check_distinct(s: tuple[int, ...]) -> None:
+    """Reject a sequence with a repeated entry: it has no pattern."""
+    if len(set(s)) != len(s):
+        raise InvalidInputError(f"entries not distinct: {s!r}")
+
+
 def reduce(s: Sequence[int]) -> Permutation:
     """Order-isomorphic pattern of a distinct-entry sequence.
 
     The i-th smallest entry becomes i, e.g. (2,6,9,1,4) -> 24513.
     """
     s = tuple(s)
-    if len(set(s)) != len(s):
-        raise InvalidInputError(f"entries not distinct: {s!r}")
+    _check_distinct(s)
     rank = {v: i for i, v in enumerate(sorted(s), start=1)}
     return Permutation(tuple(rank[v] for v in s))
 

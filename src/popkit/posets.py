@@ -17,6 +17,9 @@ Relations are stored transitively closed; every constructed Poset is a
 valid strict partial order or the builder raises.  Closure, closedness
 and bipartiteness all come from R∘R: R is closed when R∘R ⊆ R,
 bipartite when R∘R is empty, and its closure is the fixpoint of R ∪ R∘R.
+Builders list only covers and from_relations alone closes them; the
+bipartite builders (complete_bipartite, zigzag) build a Poset directly,
+since R∘R is empty for them and their covers are already closed.
 """
 
 from __future__ import annotations
@@ -116,17 +119,12 @@ def chain(word: Permutation | Sequence[int]) -> Poset:
     """Chain poset whose occurrences are classical occurrences of word.
 
     Label i sits below label j exactly when word_i < word_j, so the
-    values of an occurrence are ordered the same way as the word.
+    values of an occurrence are ordered the same way as the word.  The
+    covers are the labels of consecutive values, in rising order.
     """
-    word = word if isinstance(word, Permutation) else Permutation(word)
-    k = len(word)
-    pairs = [
-        (i, j)
-        for i in range(1, k + 1)
-        for j in range(1, k + 1)
-        if word[i - 1] < word[j - 1]
-    ]
-    return Poset(k, frozenset(pairs))
+    word = Permutation(word)
+    labels = sorted(range(1, len(word) + 1), key=lambda i: word[i - 1])
+    return from_relations(len(labels), zip(labels, labels[1:]))
 
 
 def complete_bipartite(k: int, a_set: Iterable[int]) -> Poset:
@@ -154,7 +152,7 @@ def n_pattern(word: Permutation | Sequence[int]) -> Poset:
     The word lists the labels along the path low-high-low-high, giving
     relations w1 < w2, w3 < w2, w3 < w4: the zigzag of shape ^v^.
     """
-    word = word if isinstance(word, Permutation) else Permutation(word)
+    word = Permutation(word)
     if len(word) != 4:
         raise InvalidInputError("word must have length 4")
     return zigzag(word, "^v^")
@@ -171,7 +169,7 @@ def zigzag(word: Permutation | Sequence[int], shape: str) -> Poset:
     Steps must strictly alternate (the path has no straight runs), and
     the word must be one letter longer than the shape.
     """
-    word = word if isinstance(word, Permutation) else Permutation(word)
+    word = Permutation(word)
     try:
         steps = "".join(SHAPE_ALIASES[c] for c in shape)
     except KeyError as exc:
@@ -204,7 +202,7 @@ def dc_pop(words: Sequence[Permutation | Sequence[int]]) -> Poset:
         raise InvalidInputError("need at least one chain word")
     letter_lists: list[tuple[int, ...]] = []
     for w in words:
-        letters = tuple(w) if not isinstance(w, Permutation) else w.entries
+        letters = tuple(w)
         if not letters:
             raise InvalidInputError("empty chain word")
         if len(set(letters)) != len(letters):
@@ -225,12 +223,8 @@ def dc_pop(words: Sequence[Permutation | Sequence[int]]) -> Poset:
             blocks.append(tuple(base + r for r in rho))
             base += len(letters)
 
-    pairs = set()
-    for labels in blocks:
-        for i, upper in enumerate(labels):
-            for lower in labels[i + 1 :]:
-                pairs.add((lower, upper))
-    return Poset(total, frozenset(pairs))
+    covers = [(lo, hi) for labels in blocks for hi, lo in zip(labels, labels[1:])]
+    return from_relations(total, covers)
 
 
 def label_complement(p: Poset) -> Poset:

@@ -20,6 +20,8 @@ from .notation import CbSpec, NSpec, PopSpec, build_pop, poset_text, render_pop
 from .perms import DEFAULT_CAP
 from .posets import PatternFamily, Poset, label_complement, vertical_flip
 
+DEFAULT_NMAX = 9
+
 CAVEAT = (
     "equal counting prefixes are evidence of Wilf-equivalence, not proof"
 )
@@ -61,7 +63,7 @@ class WilfReport:
 
 
 def classify(
-    family: PatternFamily, n_max: int = 9, cap: int = DEFAULT_CAP
+    family: PatternFamily, n_max: int = DEFAULT_NMAX, cap: int = DEFAULT_CAP
 ) -> WilfReport:
     """Group the family by exact counts a(0..n_max).
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from popkit import avoidance_sequence, pop_from_text
 from popkit.cli import run_cli
 
 
@@ -119,6 +120,26 @@ class TestSeries:
         code, _, _ = run(capsys, "series", "--dc", "chain:123")
         assert code == 2
 
+    # One-letter chains take the constant series; chains of length 4 or
+    # more fall back to search.
+    @pytest.mark.parametrize("words", ["[1|32]", "[4321|5]", "[2413|5]", "[12|3456]"])
+    def test_series_equals_search(self, capsys, words):
+        code, out, _ = run(
+            capsys, "series", "--dc", words, "--order", "8", "--format", "json"
+        )
+        assert code == 0
+        expected = avoidance_sequence(pop_from_text("dc:" + words), 8).values
+        assert json.loads(out)["values"] == [str(v) for v in expected]
+
+    def test_long_chain_at_default_order_hits_cap(self, capsys):
+        code, out, err = run(capsys, "series", "--dc", "[1234|5]")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "popkit: length 15 exceeds cap 12; "
+            "raise the cap explicitly if this is intended\n"
+        )
+
 
 class TestClassify:
     def test_path_patterns_table(self, capsys):
@@ -144,6 +165,12 @@ class TestClassify:
     def test_unknown_family(self, capsys):
         code, _, _ = run(capsys, "classify", "--family", "everything")
         assert code == 2
+
+    def test_non_integer_family_parameter(self, capsys):
+        code, out, err = run(capsys, "classify", "--family", "cb:x:2")
+        assert code == 2
+        assert out == ""
+        assert "bad family 'cb:x:2'" in err
 
     def test_negative_subset_size(self, capsys):
         code, out, err = run(capsys, "classify", "--family", "cb:3:-1")

@@ -160,6 +160,32 @@ class TestQuasiAvoids:
         assert quasi_avoids(pi, p) == reduced_quasi_avoids(pi, p)
 
 
+class TestRepeatedEntries:
+    """Tied values have no order, so every query rejects them."""
+
+    @pytest.mark.parametrize(
+        "query, values, poset",
+        [
+            (contains, (1, 1), from_relations(2, [(2, 1)])),
+            (contains, (1, 1), chain((1, 2))),
+            (count_occurrences, (2, 2, 1), from_relations(2, [(2, 1)])),
+            (quasi_avoids, (3, 1, 3), chain((1, 2))),
+            (avoids, (1, 2, 2), from_relations(3, [])),
+            (lambda pi, p: list(occurrences(pi, p)), (5, 5), chain((2, 1))),
+        ],
+    )
+    def test_rejected(self, query, values, poset):
+        with pytest.raises(InvalidInputError, match="entries not distinct"):
+            query(values, poset)
+
+    def test_distinct_raw_sequence_still_matches(self):
+        values = (2, 6, 9, 1, 4)
+        p = chain((2, 1))
+        assert contains(values, p)
+        assert count_occurrences(values, p) == count_occurrences(reduce(values), p)
+        assert list(occurrences(values, p)) == list(occurrences(reduce(values), p))
+
+
 class TestSearchPlan:
     def test_plan_is_sized_by_relations(self):
         p = pop_from_text("rel:100000:{(1,2)}")

@@ -42,6 +42,11 @@ class TestPermutation:
         p = Permutation((1, 2))
         with pytest.raises(AttributeError):
             p.entries = (2, 1)
+        with pytest.raises(AttributeError):
+            p.extra = 1
+
+    def test_entries_stored_as_tuple(self):
+        assert Permutation([3, 1, 2]).entries == (3, 1, 2)
 
     def test_str_compact_through_nine(self):
         assert str(Permutation((2, 1, 3))) == "213"

@@ -8,6 +8,7 @@ from popkit import (
     InvalidInputError,
     InvalidPosetError,
     PatternFamily,
+    Permutation,
     Poset,
     PopkitError,
     chain,
@@ -278,6 +279,26 @@ class TestBuilders:
         p = chain((2, 1, 3))
         assert p.less(2, 1) and p.less(1, 3) and p.less(2, 3)
 
+    @pytest.mark.parametrize("k", range(7))
+    def test_chain_relations_are_every_ordered_pair(self, k):
+        # chain lists k-1 covers; from_relations must close them to the
+        # full order of the word
+        for word in itertools.permutations(range(1, k + 1)):
+            expected = {
+                (i, j)
+                for i in range(1, k + 1)
+                for j in range(1, k + 1)
+                if word[i - 1] < word[j - 1]
+            }
+            assert chain(word).relations == expected
+
+    def test_builders_take_permutations_and_sequences_alike(self):
+        word = (2, 4, 1, 3)
+        assert chain(Permutation(word)) == chain(word)
+        assert n_pattern(Permutation(word)) == n_pattern(word)
+        assert zigzag(Permutation(word), "v^v") == zigzag(word, "v^v")
+        assert dc_pop([Permutation((2, 1)), (3,)]) == dc_pop([(2, 1), (3,)])
+
     def test_complete_bipartite(self):
         p = complete_bipartite(4, {1, 2})
         assert p.relations == frozenset({(3, 1), (3, 2), (4, 1), (4, 2)})
@@ -330,6 +351,20 @@ class TestBuilders:
         p = dc_pop([(1, 2, 3), (2, 1)])
         assert p.k == 5
         assert p.relations == frozenset({(2, 1), (3, 1), (3, 2), (4, 5)})
+
+    def test_dc_pop_every_letter_below_each_earlier_letter(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            labels = rng.sample(range(1, 9), 8)
+            cut = rng.randint(1, 7)
+            words = [tuple(labels[:cut]), tuple(labels[cut:])]
+            expected = {
+                (lower, upper)
+                for w in words
+                for i, upper in enumerate(w)
+                for lower in w[i + 1 :]
+            }
+            assert dc_pop(words).relations == expected
 
     def test_dc_pop_single_word_top_down(self):
         p = dc_pop([(1, 2)])

@@ -1,0 +1,33 @@
+"""popkit has no runtime dependencies beyond the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "popkit").glob("*.py"))
+
+
+def _absolute_imports(path: Path) -> list[str]:
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+def test_sources_found():
+    assert any(path.name == "__init__.py" for path in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_only_standard_library(path):
+    outside = [
+        name
+        for name in _absolute_imports(path)
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []
