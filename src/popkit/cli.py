@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -245,7 +246,9 @@ def _add_common(
     sub.add_argument("--out", help="write output to a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by run_cli."""
     parser = argparse.ArgumentParser(
         prog="popkit",
         description="Partially ordered patterns: matching, counting, classification.",
@@ -312,9 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv: Sequence[str]) -> int:
     """Run one CLI invocation and return its exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

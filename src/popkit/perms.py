@@ -24,6 +24,9 @@ DEFAULT_CAP = 12
 
 
 def _check_length(n: int) -> None:
+    """Reject a length that is not a non-negative int."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidInputError(f"length is not an integer: {n!r}")
     if n < 0:
         raise InvalidInputError(f"negative length: {n}")
 
@@ -47,6 +50,9 @@ class Permutation:
     def __post_init__(self):
         entries = tuple(self.entries)
         n = len(entries)
+        for v in entries:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InvalidInputError(f"entry is not an integer: {v!r}")
         if sorted(entries) != list(range(1, n + 1)):
             raise InvalidInputError(
                 f"not a permutation of 1..{n}: {entries!r}"

@@ -13,6 +13,10 @@ coupled system of the exceptional length-5 pattern (CB-14-235), the
 closed form a(n) = n of DC-p1, and the stated rational g.f.s, which
 stay literal so that expanding them checks the recurrences rather than
 restating them.
+
+The closed form of N-class1 and the binomial sum of N-class2 stay as
+oracles: `TestNClassIdentities` in tests/test_recurrences.py proves
+once that each equals its law, and no call re-checks them.
 """
 
 from __future__ import annotations
@@ -229,12 +233,9 @@ def thm_long_answer(n_max: int) -> CountSequence:
 
 
 def n_class1_closed_form(n: int) -> int:
-    """(3^n - 2n + 3) / 4, exactly."""
+    """(3^n - 2n + 3) / 4, exactly: 4 divides the numerator for every n."""
     _check_length(n)
-    value, rem = divmod(3**n - 2 * n + 3, 4)
-    if rem:
-        raise AssertionError(f"closed form not integral at n={n}")
-    return value
+    return (3**n - 2 * n + 3) // 4
 
 
 def n_class1(n_max: int) -> CountSequence:
@@ -242,16 +243,10 @@ def n_class1(n_max: int) -> CountSequence:
 
     a(0)=a(1)=1 and a(n) = 4a(n-1) - 3a(n-2) + 1, run in its homogeneous
     form a(n) = 5a(n-1) - 7a(n-2) + 3a(n-3) from a(2) = 2 (the
-    difference of two consecutive steps cancels the +1); each term is
-    checked against the closed form (3^n - 2n + 3)/4.
+    difference of two consecutive steps cancels the +1).  It equals the
+    closed form, proven once by `TestNClassIdentities`, not per call.
     """
-    seq = _linear("N-class1", [1, 1, 2], [5, -7, 3], n_max)
-    for n, v in enumerate(seq.values):
-        if v != n_class1_closed_form(n):
-            raise AssertionError(
-                f"recurrence and closed form disagree at n={n}"
-            )
-    return seq
+    return _linear("N-class1", [1, 1, 2], [5, -7, 3], n_max)
 
 
 def n_class1_gf() -> RationalGf:
@@ -263,6 +258,7 @@ def n_class1_gf() -> RationalGf:
 
 def n_class2_binomial_sum(n: int) -> int:
     """sum over i of C(n+2i-1, 3i), valid for n >= 1."""
+    _check_length(n)
     if n < 1:
         raise InvalidInputError("binomial form defined for n >= 1")
     return sum(comb(n + 2 * i - 1, 3 * i) for i in range(n))
@@ -271,16 +267,11 @@ def n_class2_binomial_sum(n: int) -> int:
 def n_class2(n_max: int) -> CountSequence:
     """Counts for the middle class of length-4 path patterns.
 
-    a(0)=a(1)=1, a(2)=2, then a(n) = 4a(n-1) - 3a(n-2) + a(n-3); each
-    term from n=1 on is checked against the binomial sum.
+    a(0)=a(1)=1, a(2)=2, then a(n) = 4a(n-1) - 3a(n-2) + a(n-3), equal to
+    the binomial sum from n=1 on: proven once by `TestNClassIdentities`,
+    not per call.
     """
-    seq = _linear("N-class2", [1, 1, 2], [4, -3, 1], n_max)
-    for n in range(1, len(seq.values)):
-        if seq.values[n] != n_class2_binomial_sum(n):
-            raise AssertionError(
-                f"recurrence and binomial sum disagree at n={n}"
-            )
-    return seq
+    return _linear("N-class2", [1, 1, 2], [4, -3, 1], n_max)
 
 
 def n_class2_gf() -> RationalGf:

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from popkit import avoidance_sequence, pop_from_text
+from popkit import (
+    avoidance_sequence,
+    gf_coefficients,
+    n_class1_closed_form,
+    n_class1_gf,
+    n_class2_binomial_sum,
+    n_class2_gf,
+    pop_from_text,
+)
 from popkit.cli import run_cli
 
 
@@ -98,6 +106,24 @@ class TestSeq:
             capsys, "seq", "--pattern", "chain:12", "--k", "3", "--nmax", "5"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "theorem, gf, oracle",
+        [
+            ("N-class1", n_class1_gf, n_class1_closed_form),
+            ("N-class2", n_class2_gf, n_class2_binomial_sum),
+        ],
+        ids=["N-class1", "N-class2"],
+    )
+    def test_path_class_through_2000(self, capsys, theorem, gf, oracle):
+        code, out, _ = run(
+            capsys,
+            "seq", "--theorem", theorem, "--nmax", "2000", "--format", "json",
+        )
+        assert code == 0
+        values = [int(v) for v in json.loads(out)["values"]]
+        assert values == list(gf_coefficients(gf(), 2000).values)
+        assert values[-1] == oracle(2000)
 
 
 class TestSeries:

@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from popkit.cli import run_cli
+from popkit.cli import build_parser, run_cli
 
 
 def text(block: str) -> str:
@@ -287,3 +287,13 @@ def test_out_file_is_exact(capsys, tmp_path, case):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == ""
     assert target.read_bytes() == expected.encode("utf-8")
+
+
+def test_parser_reused_after_a_failed_parse(capsys):
+    assert build_parser() is build_parser()
+    for bad in (["seq", "--nmax", "ten"], ["seq", "--k"], ["nosuch"]):
+        assert run_cli(bad) == 2
+    capsys.readouterr()
+    argv, code, expected = GOLDEN["seq-theorem-json"]
+    assert run_cli(argv) == code
+    assert capsys.readouterr().out == expected

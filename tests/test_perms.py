@@ -35,6 +35,11 @@ class TestPermutation:
         with pytest.raises(InvalidInputError):
             Permutation((2, 3))
 
+    @pytest.mark.parametrize("entries", [(1.0, 2), (True, 2)], ids=["float", "bool"])
+    def test_rejects_non_integer_entries(self, entries):
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            Permutation(entries)
+
     def test_empty_is_fine(self):
         assert len(Permutation(())) == 0
 

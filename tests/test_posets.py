@@ -96,11 +96,12 @@ class TestFromRelations:
             lambda: Poset(True, frozenset()),
             lambda: Poset(2.0, frozenset()),
             lambda: from_relations("3", [(1, 2)]),
+            lambda: chain((1.0, 2)),
         ],
         ids=["float-from-relations", "float-poset", "str-from-relations",
              "float-upper-poset", "float-size-from-relations",
              "bool-size-from-relations", "bool-size-poset", "float-size-poset",
-             "str-size-from-relations"],
+             "str-size-from-relations", "float-chain-word"],
     )
     def test_non_integer_label_rejected(self, build):
         with pytest.raises(InvalidInputError, match="not an integer"):

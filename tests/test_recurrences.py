@@ -26,6 +26,8 @@ from popkit import (
     thm_general1,
     thm_long_answer,
 )
+from popkit import recurrences
+from popkit.recurrences import _poly_add, _poly_mul
 
 
 class TestRationalGf:
@@ -184,6 +186,66 @@ class TestPathPatternClasses:
         assert n_class3(5).values[5] == 61
 
 
+def _law(monkeypatch, generator):
+    """The initial terms and coefficients that generator hands to _linear."""
+    seen = []
+    monkeypatch.setattr(
+        recurrences, "_linear",
+        lambda name, initial, coeffs, n_max: seen.append((initial, coeffs)),
+    )
+    generator(0)
+    (initial, coeffs), = seen
+    return tuple(initial), tuple(coeffs)
+
+
+class TestNClassIdentities:
+    """Proofs, in exact integers, that the N-class1 and N-class2 laws equal
+    their closed form and binomial sum for every n.
+
+    Both sides of each identity solve the same order-3 linear recurrence,
+    so agreeing on the first three terms makes them equal everywhere (the
+    C-finite ansatz).  The generators do not re-check either identity.
+    """
+
+    def test_class1_equals_closed_form(self, monkeypatch):
+        initial, coeffs = _law(monkeypatch, n_class1)
+        den = _poly_mul((1, -3), _poly_mul((1, -1), (1, -1)))
+        assert den == (1, -5, 7, -3) == n_class1_gf().denominator
+        assert den == (1, *(-c for c in coeffs))
+        # The roots 3, 1, 1 of den make 3^n, n and 1 solve the recurrence
+        # sum_i den[i] b(n-i) = 0 at every n: for 3^n the sum is
+        # 3^(n-3) sum_i den[i] 3^(3-i), for n it is n sum(den) - sum(i den[i]).
+        assert sum(c * 3 ** (3 - i) for i, c in enumerate(den)) == 0
+        assert sum(den) == 0 == sum(i * c for i, c in enumerate(den))
+        # The closed form 3^n/4 - n/2 + 3/4 combines them, so it solves the
+        # recurrence too, and it starts where the law starts.
+        assert initial == tuple(n_class1_closed_form(n) for n in range(3))
+        # It is an integer: 3^n - 2n + 3 is 4 at n = 0 and n = 1, and from
+        # n to n + 2 it grows by 8 * 3^n - 4, a multiple of 4.
+        assert [3**n - 2 * n + 3 for n in (0, 1)] == [4, 4]
+
+    def test_class2_equals_binomial_sum(self, monkeypatch):
+        initial, coeffs = _law(monkeypatch, n_class2)
+        # sum_n C(n+2i-1, 3i) x^n = x^(i+1) / (1-x)^(3i+1); the terms with
+        # i >= n vanish, so summing over every i >= 0 gives
+        # sum_{n>=1} B(n) x^n = x(1-x)^2 / ((1-x)^3 - x).
+        cube = _poly_mul((1, -1), _poly_mul((1, -1), (1, -1)))
+        den = _poly_add(cube, (0, -1))
+        assert den == (1, -4, 3, -1) == (1, *(-c for c in coeffs))
+        # Hence 1 + sum_{n>=1} B(n) x^n = (den + x(1-x)^2) / den, the g.f.
+        num = _poly_add(den, _poly_mul((0, 1), _poly_mul((1, -1), (1, -1))))
+        assert num == (1, -3, 1, 0)
+        assert n_class2_gf() == RationalGf(num[:3], den)
+        # num has degree 2, so from n = 3 on the series solves the law's
+        # recurrence; it starts where the law starts.
+        series = (1, n_class2_binomial_sum(1), n_class2_binomial_sum(2))
+        assert initial == series == tuple(n_class2_gf().expand(2))
+
+    def test_spot_check_at_400(self):
+        assert n_class1(400).values[400] == n_class1_closed_form(400)
+        assert n_class2(400).values[400] == n_class2_binomial_sum(400)
+
+
 class TestSmallDisjointChains:
     def test_p1_linear(self):
         assert dc_small("p1", 8).values == (1, 1, 2, 3, 4, 5, 6, 7, 8)
@@ -217,12 +279,16 @@ class TestNegativeLength:
             (thm_general1, (5, 2)),
             (gf_coefficients, (n_class1_gf(),)),
             (n_class1_closed_form, ()),
+            (n_class2_binomial_sum, ()),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
     def test_rejected(self, generator, args):
         with pytest.raises(InvalidInputError, match="negative length"):
             generator(*args, -2)
+        for n in (2.5, 3.0, True):
+            with pytest.raises(InvalidInputError, match="not an integer"):
+                generator(*args, n)
 
 
 class TestTheoremDispatch:
