@@ -5,18 +5,15 @@ pattern family from its stated law alone, never from search, so the
 brute-force counter and these formulas can be checked against each
 other meaningfully.  All arithmetic is unbounded-integer exact.
 
-Most laws are fixed-order linear recurrences: a(n) = n! below the
-pattern length, then a(n) = c_1 a(n-1) + ... + c_d a(n-d).  One loop,
-`_linear`, runs them all, and each generator states only its initial
-terms and coefficients.  Three kinds of code keep their own form: the
-coupled system of the exceptional length-5 pattern (CB-14-235), the
-closed form a(n) = n of DC-p1, and the stated rational g.f.s, which
-stay literal so that expanding them checks the recurrences rather than
-restating them.
-
-The closed form of N-class1 and the binomial sum of N-class2 stay as
-oracles: `TestNClassIdentities` in tests/test_recurrences.py proves
-once that each equals its law, and no call re-checks them.
+Every law is a fixed-order linear recurrence with constant
+coefficients: a block of initial terms, each of them n!, then
+a(n) = c_1 a(n-1) + ... + c_d a(n-d).  One loop, `_linear`, runs them
+all, and each generator states only its initial terms and
+coefficients.  The stated rational g.f.s, the closed form of N-class1
+and the binomial sum of N-class2 stay literal, as oracles:
+tests/test_recurrences.py proves once, by the C-finite ansatz, that
+each law equals its g.f. or closed form for every n, and no call
+re-checks them.
 """
 
 from __future__ import annotations
@@ -117,21 +114,47 @@ def _linear(
     return CountSequence(name, tuple(values), "theorem-name")
 
 
-def thm_b1(k: int, n_max: int) -> CountSequence:
-    """Counts for the complete bipartite pattern with a single top label.
+def _check_int(what: str, value: int) -> None:
+    """Reject a parameter that is not an int, by the rule of lengths."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInputError(f"{what} is not an integer: {value!r}")
 
-    a(n) = n! below the pattern length, then a(n) = (k-1) a(n-1), that
-    is (k-1)! (k-1)^(n-k+1): every further entry has k-1 admissible
-    insertion slots.
+
+def _interval(name: str, k: int, j: int, n_max: int) -> CountSequence:
+    """Counts for a complete bipartite pattern of length k whose top set
+    is an interval of j+1 labels.
+
+    Inclusion-exclusion over how many of the largest values sit inside
+    the occurrence's top positions gives, for n at least k,
+    a(n) = sum over l=1..j+1 of
+    (-1)^(l-1) C(j+1, l) (k-j-1)(k-j-2)...(k-j-l) a(n-l).
+    At j=0 this is B1, a(n) = (k-1) a(n-1); at j=1 it is B2,
+    a(n) = 2(k-2) a(n-1) - (k-2)(k-3) a(n-2).  At k = j+1 every
+    coefficient is 0: the pattern is an antichain.
     """
     _check_length(n_max)
-    if k < 1:
-        raise InvalidInputError("pattern length must be at least 1")
-    return _linear(f"B1(k={k})", map(factorial, range(k)), [k - 1], n_max)
+    _check_int("pattern length", k)
+    if k < j + 1:
+        raise InvalidInputError(f"pattern length must be at least {j + 1}")
+    # Below k the n! block is the whole answer, so no coefficient is built.
+    coeffs = [
+        (-1) ** (ell - 1) * comb(j + 1, ell) * perm(k - j - 1, ell)
+        for ell in range(1, j + 2 if n_max >= k else 1)
+    ]
+    return _linear(name, map(factorial, range(k)), coeffs, n_max)
+
+
+def _b1(k: int, n_max: int) -> CountSequence:
+    return _interval(f"B1(k={k})", k, 0, n_max)
+
+
+def _b2(k: int, n_max: int) -> CountSequence:
+    return _interval(f"B2(k={k})", k, 1, n_max)
 
 
 def thm_b1_gf(k: int) -> RationalGf:
-    """Stated rational g.f. matching thm_b1 termwise."""
+    """Stated rational g.f. of the single-top-label counts (id B1)."""
+    _check_int("pattern length", k)
     if k < 1:
         raise InvalidInputError("pattern length must be at least 1")
     den = (1, -(k - 1))
@@ -143,29 +166,14 @@ def thm_b1_gf(k: int) -> RationalGf:
     return RationalGf(tuple(num), den)
 
 
-def thm_b2_recurrence(k: int, n_max: int) -> CountSequence:
-    """Counts for complete bipartite patterns with a two-label top set
-    placed adjacently or two apart: a(n) = 2(k-2)a(n-1) - (k-2)(k-3)a(n-2)
-    once n reaches the pattern length.
-    """
-    _check_length(n_max)
-    if k < 2:
-        raise InvalidInputError("pattern length must be at least 2")
-    return _linear(
-        f"B2(k={k})",
-        map(factorial, range(k)),
-        [2 * (k - 2), -(k - 2) * (k - 3)],
-        n_max,
-    )
-
-
 def thm_b2_gf(k: int) -> RationalGf:
-    """Stated rational g.f. matching thm_b2_recurrence termwise.
+    """Stated rational g.f. of the two-label top-set counts (id B2).
 
     The numerator's truncated factorial sums only encode the n! initial
     segment correctly from k = 4 up; smaller k is rejected (the
     recurrence form covers it).
     """
+    _check_int("pattern length", k)
     if k < 4:
         raise InvalidInputError("g.f. form needs pattern length >= 4")
     a = tuple(factorial(i) for i in range(k - 2))
@@ -184,51 +192,36 @@ def thm_b2_gf(k: int) -> RationalGf:
 
 def thm_general1(k: int, j: int, n_max: int) -> CountSequence:
     """Counts for a complete bipartite pattern whose top set is the
-    interval of j+1 labels starting anywhere.
-
-    Inclusion-exclusion over how many of the largest values sit inside
-    the occurrence's top positions gives, for n at least k,
-    a(n) = sum over l=1..j+1 of
-    (-1)^(l-1) C(j+1, l) (k-j-1)(k-j-2)...(k-j-l) a(n-l).
+    interval of j+1 labels starting anywhere, with at least one bottom
+    label beside it: the `_linear` law of `_interval`, whose j=0 and
+    j=1 cases (B1, B2) the tests prove equal to `thm_b1_gf` and
+    `thm_b2_gf` for every n.
     """
     _check_length(n_max)
+    _check_int("interval width", j)
+    _check_int("pattern length", k)
     if j < 0:
         raise InvalidInputError("interval width must be non-negative")
     if k < j + 2:
         raise InvalidInputError(
             "pattern length must exceed the top interval"
         )
-    # Below k the n! block is the whole answer, so no coefficient is built.
-    coeffs = [
-        (-1) ** (ell - 1) * comb(j + 1, ell) * perm(k - j - 1, ell)
-        for ell in range(1, j + 2 if n_max >= k else 1)
-    ]
-    return _linear(
-        f"interval(k={k},j={j})", map(factorial, range(k)), coeffs, n_max
-    )
+    return _interval(f"interval(k={k},j={j})", k, j, n_max)
 
 
 def thm_long_answer(n_max: int) -> CountSequence:
     """Counts for the exceptional length-5 complete bipartite pattern
     whose top labels are 1 and 4 (equivalently 2 and 5).
 
-    A coupled system: the main counts a(n) and auxiliary counts b(n)
-    feed each other two terms back, so they are advanced together;
-    b(n) uses a(n-2) and a(n) uses b(n-2).
+    The paper states a coupled system: a(n) = 7a(n-1) - 12a(n-2) +
+    4a(n-3) + 2b(n-2) from n=5, with auxiliary counts
+    b(n) = a(n-2) + b(n-1) + 2(b(2) + ... + b(n-2)) from n=3, b(1)=0,
+    b(2)=1.  Eliminating b leaves one law of order 5, with g.f.
+    (1 - 8x + 18x^2 - 8x^3 - 7x^4) / (1 - 9x + 25x^2 - 21x^3 - 6x^4 +
+    6x^5); tests/test_recurrences.py derives it from the system.
     """
-    _check_length(n_max)
-    a = [1, 1, 2, 6, 24]
-    b = [0, 0, 1]  # b(0) unused; b(1)=0, b(2)=1
-    b_sum = 0  # b(2) + ... + b(n-2)
-    for n in range(3, n_max + 1):
-        b.append(a[n - 2] + b[n - 1] + 2 * b_sum)
-        b_sum += b[n - 1]
-        if n >= 5:
-            a.append(
-                7 * a[n - 1] - 12 * a[n - 2] + 4 * a[n - 3] + 2 * b[n - 2]
-            )
-    return CountSequence(
-        "exceptional-cb5", tuple(a[: n_max + 1]), "theorem-name"
+    return _linear(
+        "exceptional-cb5", [1, 1, 2, 6, 24], [9, -25, 21, 6, -6], n_max
     )
 
 
@@ -244,7 +237,8 @@ def n_class1(n_max: int) -> CountSequence:
     a(0)=a(1)=1 and a(n) = 4a(n-1) - 3a(n-2) + 1, run in its homogeneous
     form a(n) = 5a(n-1) - 7a(n-2) + 3a(n-3) from a(2) = 2 (the
     difference of two consecutive steps cancels the +1).  It equals the
-    closed form, proven once by `TestNClassIdentities`, not per call.
+    closed form, proven once in the tests (through `n_class1_gf`), not
+    per call.
     """
     return _linear("N-class1", [1, 1, 2], [5, -7, 3], n_max)
 
@@ -268,8 +262,8 @@ def n_class2(n_max: int) -> CountSequence:
     """Counts for the middle class of length-4 path patterns.
 
     a(0)=a(1)=1, a(2)=2, then a(n) = 4a(n-1) - 3a(n-2) + a(n-3), equal to
-    the binomial sum from n=1 on: proven once by `TestNClassIdentities`,
-    not per call.
+    the binomial sum from n=1 on: proven once in the tests (through
+    `n_class2_gf`), not per call.
     """
     return _linear("N-class2", [1, 1, 2], [4, -3, 1], n_max)
 
@@ -288,7 +282,8 @@ def n_class3(n_max: int) -> CountSequence:
 def dc_small(name: str, n_max: int) -> CountSequence:
     """Counts for the two three-label one-chain-plus-isolated patterns.
 
-    p1 (chain 1<2, isolated 3): a(n) = n for n >= 1.
+    p1 (chain 1<2, isolated 3): a(n) = n for n >= 1, run as
+    a(n) = 2a(n-1) - a(n-2) from a(2) = 2.
     p2 (chain 1<3, isolated 2): a(n) = a(n-1) + a(n-2) from n=3, the
     Fibonacci sequence in the indexing fixed by direct enumeration
     (a(1..5) = 1, 2, 3, 5, 8).
@@ -296,25 +291,24 @@ def dc_small(name: str, n_max: int) -> CountSequence:
     _check_length(n_max)
     key = name.lower()
     if key == "p1":
-        values = (1, *range(1, n_max + 1))
-        return CountSequence("DC-p1", values, "theorem-name")
+        return _linear("DC-p1", [1, 1, 2], [2, -1], n_max)
     if key == "p2":
         return _linear("DC-p2-fibonacci", [1, 1, 2], [1, 1], n_max)
     raise InvalidInputError(f"unknown small pattern name {name!r}")
 
 
 # Canonical generator ids exposed to the CLI, each with its generator
-# and the names of the parameters it takes before n_max.  The two-label
-# top-set ids (adjacent and gap-2 placements) share the same counting
-# law and delegate to the same recurrence; they exist as distinct ids
-# so each placement's claim can be verified against brute force
+# and the names of the parameters it takes before n_max.  Every
+# generator is one `_linear` law.  The two-label top-set ids (adjacent
+# and gap-2 placements) share the B2 law; they exist as distinct ids so
+# each placement's claim can be verified against brute force
 # separately.
 _GENERATORS: dict[str, tuple[Callable[..., CountSequence], tuple[str, ...]]] = {
-    "B1": (thm_b1, ("k",)),
-    "B2": (thm_b2_recurrence, ("k",)),
-    "CB-adjacent": (thm_b2_recurrence, ("k",)),
+    "B1": (_b1, ("k",)),
+    "B2": (_b2, ("k",)),
+    "CB-adjacent": (_b2, ("k",)),
     "CB-interval": (thm_general1, ("k", "j")),
-    "CB-gap2": (thm_b2_recurrence, ("k",)),
+    "CB-gap2": (_b2, ("k",)),
     "CB-14-235": (thm_long_answer, ()),
     "N-class1": (n_class1, ()),
     "N-class2": (n_class2, ()),

@@ -34,10 +34,9 @@ from popkit import (
     n_pattern_family,
     gf_coefficients,
     reduce,
-    thm_b1,
     thm_b1_gf,
     thm_b2_gf,
-    thm_b2_recurrence,
+    theorem_sequence,
     thm_general1,
     thm_long_answer,
     vertical_flip,
@@ -52,7 +51,7 @@ def brute(p, n_max):
 def test_c01_length4_bipartite_counts_match_recurrence():
     got = brute(complete_bipartite(4, {1, 2}), 8)
     assert got[1:] == (1, 2, 6, 20, 68, 232, 792, 2704)
-    assert got == thm_b2_recurrence(4, 8).values
+    assert got == theorem_sequence("B2", 8, k=4).values
 
 
 def test_c02_length5_generic_vs_exceptional_split():
@@ -70,7 +69,7 @@ def test_c03_single_top_label_geometric_growth():
         got = brute(complete_bipartite(k, {1}), 8)
         for n in range(k, 9):
             assert got[n] == factorial(k - 1) * (k - 1) ** (n - k + 1), (k, n)
-        assert got == thm_b1(k, 8).values
+        assert got == theorem_sequence("B1", 8, k=k).values
 
 
 def test_c04_interval_top_sets_match_inclusion_exclusion():
@@ -83,7 +82,7 @@ def test_c04_interval_top_sets_match_inclusion_exclusion():
 
 
 def test_c05_seven_two_label_top_sets_share_one_sequence():
-    expected = thm_b2_recurrence(5, 8).values
+    expected = theorem_sequence("B2", 8, k=5).values
     for top in ({1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 3}, {2, 4}, {3, 5}):
         got = brute(complete_bipartite(5, top), 8)
         assert got == expected, top
@@ -109,11 +108,14 @@ def test_c07_closed_forms_and_gf_expansions_to_thirty():
     assert gf_coefficients(n_class1_gf(), 30).values == c1.values
     assert gf_coefficients(n_class2_gf(), 30).values == c2.values
     for k in (3, 4, 5):
-        assert gf_coefficients(thm_b1_gf(k), 30).values == thm_b1(k, 30).values
+        assert (
+            gf_coefficients(thm_b1_gf(k), 30).values
+            == theorem_sequence("B1", 30, k=k).values
+        )
     for k in (4, 5):
         assert (
             gf_coefficients(thm_b2_gf(k), 30).values
-            == thm_b2_recurrence(k, 30).values
+            == theorem_sequence("B2", 30, k=k).values
         )
 
 
