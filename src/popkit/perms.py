@@ -23,10 +23,20 @@ from .errors import InvalidInputError, ResourceLimitError
 DEFAULT_CAP = 12
 
 
+def _is_int(value) -> bool:
+    """The one integer rule: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(what: str, value) -> None:
+    """Reject a value that breaks the integer rule."""
+    if not _is_int(value):
+        raise InvalidInputError(f"{what} is not an integer: {value!r}")
+
+
 def _check_length(n: int) -> None:
     """Reject a length that is not a non-negative int."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidInputError(f"length is not an integer: {n!r}")
+    _check_int("length", n)
     if n < 0:
         raise InvalidInputError(f"negative length: {n}")
 
@@ -51,8 +61,7 @@ class Permutation:
         entries = tuple(self.entries)
         n = len(entries)
         for v in entries:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidInputError(f"entry is not an integer: {v!r}")
+            _check_int("entry", v)
         if sorted(entries) != list(range(1, n + 1)):
             raise InvalidInputError(
                 f"not a permutation of 1..{n}: {entries!r}"

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, InvalidPosetError
-from .perms import Permutation, reduce
+from .perms import Permutation, _check_int, _is_int, reduce
 
 
 Pair = tuple[int, int]
@@ -37,8 +37,7 @@ Pair = tuple[int, int]
 def _check_labels(k: int, pairs: Iterable[Pair]) -> None:
     """Reject a size k that is not a non-negative int, then the first
     pair, in iteration order, that is not a pair of int labels in 1..k."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InvalidInputError(f"size is not an integer: {k!r}")
+    _check_int("size", k)
     if k < 0:
         raise InvalidInputError(f"negative size: {k}")
     for pair in pairs:
@@ -46,7 +45,7 @@ def _check_labels(k: int, pairs: Iterable[Pair]) -> None:
             a, b = pair
         except (TypeError, ValueError):
             raise InvalidInputError(f"relation is not a pair: {pair!r}") from None
-        if not (isinstance(a, int) and isinstance(b, int)):
+        if not (_is_int(a) and _is_int(b)):
             raise InvalidInputError(
                 f"label is not an integer in relation ({a!r},{b!r})"
             )
@@ -134,8 +133,10 @@ def complete_bipartite(k: int, a_set: Iterable[int]) -> Poset:
     for |a_set| values, at the a_set positions of the occurrence, that
     all exceed the values at the remaining positions.
     """
+    _check_int("size", k)
     a_labels = set(a_set)
     for a in a_labels:
+        _check_int("label", a)
         if not (1 <= a <= k):
             raise InvalidInputError(f"label {a} out of range 1..{k}")
     if not a_labels or len(a_labels) == k:
@@ -205,6 +206,8 @@ def dc_pop(words: Sequence[Permutation | Sequence[int]]) -> Poset:
         letters = tuple(w)
         if not letters:
             raise InvalidInputError("empty chain word")
+        for v in letters:
+            _check_int("letter", v)
         if len(set(letters)) != len(letters):
             raise InvalidInputError(f"repeated letter in chain word {letters!r}")
         if any(v < 1 for v in letters):

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 from .counting import CountSequence
 from .errors import InvalidGfError, InvalidInputError
-from .perms import _check_length
+from .perms import _check_int, _check_length
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,6 @@ def _linear(
     while len(values) <= n_max:
         values.append(sum(map(mul, coeffs, values[newest_first])))
     return CountSequence(name, tuple(values), "theorem-name")
-
-
-def _check_int(what: str, value: int) -> None:
-    """Reject a parameter that is not an int, by the rule of lengths."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidInputError(f"{what} is not an integer: {value!r}")
 
 
 def _interval(name: str, k: int, j: int, n_max: int) -> CountSequence:

@@ -17,7 +17,7 @@ from typing import Sequence
 from .counting import avoidance_sequence
 from .errors import InvalidInputError
 from .notation import CbSpec, NSpec, PopSpec, build_pop, poset_text, render_pop
-from .perms import DEFAULT_CAP
+from .perms import DEFAULT_CAP, _check_int
 from .posets import PatternFamily, Poset, label_complement, vertical_flip
 
 DEFAULT_NMAX = 9
@@ -125,6 +125,8 @@ def n_pattern_family() -> PatternFamily:
 
 def cb_family(k: int, a_size: int) -> PatternFamily:
     """All complete bipartite patterns of length k with |upper set| = a_size."""
+    _check_int("size", k)
+    _check_int("upper set size", a_size)
     if a_size < 0:
         raise InvalidInputError(f"negative upper set size: {a_size}")
     a_sets = itertools.combinations(range(1, k + 1), a_size)

@@ -5,9 +5,10 @@ within length 8 (length 7 for patterns of size 6 or more), which keeps
 the whole file fast. Each test prints one pass/fail line under -v.
 """
 
-import random
-from itertools import combinations, permutations
+from itertools import permutations
 
+from oracles import naive_occurrences
+from poset_gen import seeded_posets
 from popkit import (
     avoidance_sequence,
     bipartite_dc_closed_form,
@@ -172,18 +173,7 @@ def test_c11_alternating_path_regression_values():
 def test_c12_property_suites():
     # invariance of counts under the two label symmetries, on random
     # posets drawn from seeded linear extensions (acyclic by build)
-    rng = random.Random(20260818)
-    for _ in range(50):
-        k = rng.randint(1, 5)
-        order = list(range(1, k + 1))
-        rng.shuffle(order)
-        pairs = [
-            (order[i], order[j])
-            for i in range(k)
-            for j in range(i + 1, k)
-            if rng.random() < 0.4
-        ]
-        p = from_relations(k, pairs)
+    for p in seeded_posets(50, 20260818, 5):
         base = brute(p, 6)
         assert brute(label_complement(p), 6) == base
         assert brute(vertical_flip(p), 6) == base
@@ -208,16 +198,6 @@ def test_c12_property_suites():
                     assert contains(pi, p), (p, pi)
 
     # backtracking matcher equals the subset-filter definition
-    def naive(values, p):
-        return sum(
-            1
-            for pos in combinations(range(len(values)), p.k)
-            if all(
-                values[pos[a - 1]] < values[pos[b - 1]]
-                for a, b in p.relations
-            )
-        )
-
     small = [
         chain((1, 2, 3)),
         complete_bipartite(4, {1, 2}),
@@ -228,4 +208,6 @@ def test_c12_property_suites():
     for p in small:
         for n in range(1, 8):
             for pi in permutations(range(1, n + 1)):
-                assert count_occurrences(pi, p) == naive(pi, p)
+                assert count_occurrences(pi, p) == len(
+                    naive_occurrences(pi, p.k, p.relations)
+                )

@@ -1,9 +1,10 @@
-import random
-from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import naive_avoider_counts
+from poset_gen import poset_strategy, seeded_posets
 from popkit import (
     CountSequence,
     InvalidInputError,
@@ -20,41 +21,10 @@ from popkit import (
     label_complement,
     n_pattern,
     quasi_avoids,
+    symmetry_orbit,
     vertical_flip,
     zigzag,
 )
-
-
-def subset_avoiders(p, n):
-    """Avoiders of length n by the definition: no k-subset of positions
-    realizes every relation of p.  Independent of the matcher."""
-    return sum(
-        1
-        for pi in all_permutations(n)
-        if not any(
-            all(pi[pos[a - 1]] < pi[pos[b - 1]] for a, b in p.relations)
-            for pos in combinations(range(n), p.k)
-        )
-    )
-
-
-def seeded_posets(count, seed):
-    """Random posets on at most 5 labels, acyclic by construction: every
-    relation follows one shuffled linear extension."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        k = rng.randint(1, 5)
-        order = list(range(1, k + 1))
-        rng.shuffle(order)
-        pairs = [
-            (order[i], order[j])
-            for i in range(k)
-            for j in range(i + 1, k)
-            if rng.random() < 0.4
-        ]
-        out.append(from_relations(k, pairs))
-    return out
 
 
 class TestCountSequence:
@@ -143,11 +113,21 @@ class TestAvoidanceSequence:
             from_relations(3, [(1, 3), (2, 3)]),  # label 3 only above
             from_relations(4, [(4, 1)]),  # label 4 below one label
             from_relations(4, [(2, 4), (4, 3)]),  # label 4 in between
-        ] + seeded_posets(30, 20261018)
+        ] + seeded_posets(30, 20261018, 5)
         for p in fixtures:
+            subset = naive_avoider_counts(p.k, p.relations, 6)
             for n in range(7):
                 naive = sum(1 for pi in all_permutations(n) if avoids(pi, p))
-                assert count_avoiders(p, n) == naive == subset_avoiders(p, n), (p, n)
+                assert count_avoiders(p, n) == naive == subset[n], (p, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(poset_strategy(6), st.integers(0, 7))
+    def test_every_orbit_member_equals_subset_definition(self, p, n_max):
+        # the gate for any counting engine: posets with k <= 6 and every
+        # symmetry partner, against the definition through n = 7
+        subset = naive_avoider_counts(p.k, p.relations, n_max)
+        for q in symmetry_orbit(p):
+            assert list(avoidance_sequence(q, n_max).values) == subset, q
 
     def test_alternating_path_search_values(self):
         # The search values for this word; the acceptance fixture c11

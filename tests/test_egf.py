@@ -1,10 +1,10 @@
 import random
 from functools import cache, partial
-from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import catalan
 from popkit import (
     InvalidInputError,
     PopkitError,
@@ -32,9 +32,7 @@ counts_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=12)
 
 
 def catalan_series(order):
-    return egf_from_counts(
-        [comb(2 * n, n) // (n + 1) for n in range(order + 1)]
-    )
+    return egf_from_counts(catalan(order))
 
 
 def running_product_dc_egf(chain_egfs):

@@ -1,8 +1,10 @@
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import naive_occurrences
+from poset_gen import poset_strategy
 from popkit import (
     InvalidInputError,
     Permutation,
@@ -33,31 +35,9 @@ KIND_PATTERNS = [
 ]
 
 
-def naive_count(values, p):
-    """Reference matcher: try every position subset."""
-    total = 0
-    for pos in combinations(range(len(values)), p.k):
-        if all(
-            values[pos[a - 1]] < values[pos[b - 1]] for a, b in p.relations
-        ):
-            total += 1
-    return total
-
-
 def reduced_quasi_avoids(pi, p):
     """Reference: the prefix reduced to a permutation before the check."""
     return contains(pi, p) and avoids(reduce(pi[:-1]), p)
-
-
-@st.composite
-def shuffled_posets(draw, max_k=5):
-    """Posets on at most max_k labels whose relations all follow one
-    drawn linear extension, so they are acyclic by construction."""
-    k = draw(st.integers(1, max_k))
-    order = draw(st.permutations(range(1, k + 1)))
-    pairs = [(order[i], order[j]) for i in range(k) for j in range(i + 1, k)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return from_relations(k, [pair for pair, kept in zip(pairs, keep) if kept])
 
 
 class TestOccurrences:
@@ -114,9 +94,9 @@ class TestOccurrences:
     def test_matches_naive_matcher(self, pattern):
         for n in range(1, 7):
             for pi in permutations(range(1, n + 1)):
-                assert count_occurrences(pi, pattern) == naive_count(
-                    pi, pattern
-                )
+                naive = naive_occurrences(pi, pattern.k, pattern.relations)
+                assert list(occurrences(pi, pattern)) == naive
+                assert count_occurrences(pi, pattern) == len(naive)
 
 
 class TestQuasiAvoids:
@@ -154,7 +134,7 @@ class TestQuasiAvoids:
 
     @given(st.data())
     def test_equals_reduce_based_definition_on_random_posets(self, data):
-        p = data.draw(shuffled_posets())
+        p = data.draw(poset_strategy(5))
         n = data.draw(st.integers(1, 7))
         pi = data.draw(st.permutations(range(1, n + 1)))
         assert quasi_avoids(pi, p) == reduced_quasi_avoids(pi, p)

@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
+from poset_gen import poset_strategy
 from popkit import (
     InvalidInputError,
     InvalidPosetError,
@@ -11,6 +12,7 @@ from popkit import (
     Permutation,
     Poset,
     PopkitError,
+    cb_family,
     chain,
     complete_bipartite,
     dc_pop,
@@ -21,36 +23,6 @@ from popkit import (
     vertical_flip,
     zigzag,
 )
-
-
-def random_posets(max_k=5):
-    """Random posets built from a linear extension, so always acyclic."""
-
-    def build(draw_data):
-        k, pair_flags = draw_data
-        order = list(range(1, k + 1))
-        pairs = [
-            (order[i], order[j])
-            for i in range(k)
-            for j in range(i + 1, k)
-        ]
-        kept = [p for p, keep in zip(pairs, pair_flags) if keep]
-        return from_relations(k, kept)
-
-    return (
-        st.integers(1, max_k)
-        .flatmap(
-            lambda k: st.tuples(
-                st.just(k),
-                st.lists(
-                    st.booleans(),
-                    min_size=k * (k - 1) // 2,
-                    max_size=k * (k - 1) // 2,
-                ),
-            )
-        )
-        .map(build)
-    )
 
 
 class TestFromRelations:
@@ -97,11 +69,21 @@ class TestFromRelations:
             lambda: Poset(2.0, frozenset()),
             lambda: from_relations("3", [(1, 2)]),
             lambda: chain((1.0, 2)),
+            lambda: from_relations(2, [(True, 2)]),
+            lambda: complete_bipartite(3, {True}),
+            lambda: complete_bipartite(3.0, {1}),
+            lambda: dc_pop([(1.5, 2)]),
+            lambda: dc_pop([(True, 2)]),
+            lambda: cb_family(3.0, 1),
+            lambda: cb_family(3, 1.0),
         ],
         ids=["float-from-relations", "float-poset", "str-from-relations",
              "float-upper-poset", "float-size-from-relations",
              "bool-size-from-relations", "bool-size-poset", "float-size-poset",
-             "str-size-from-relations", "float-chain-word"],
+             "str-size-from-relations", "float-chain-word",
+             "bool-label-from-relations", "bool-label-bipartite",
+             "float-size-bipartite", "float-dc-letter", "bool-dc-letter",
+             "float-size-cb-family", "float-upper-size-cb-family"],
     )
     def test_non_integer_label_rejected(self, build):
         with pytest.raises(InvalidInputError, match="not an integer"):
@@ -392,18 +374,18 @@ class TestSymmetryMaps:
         p = chain((1, 2))
         assert vertical_flip(p).relations == frozenset({(2, 1)})
 
-    @given(random_posets())
+    @given(poset_strategy(5))
     def test_both_are_involutions(self, p):
         assert label_complement(label_complement(p)) == p
         assert vertical_flip(vertical_flip(p)) == p
 
-    @given(random_posets())
+    @given(poset_strategy(5))
     def test_maps_commute(self, p):
         assert label_complement(vertical_flip(p)) == vertical_flip(
             label_complement(p)
         )
 
-    @given(random_posets())
+    @given(poset_strategy(5))
     def test_maps_preserve_validity(self, p):
         # construction through Poset would raise if closure broke
         assert label_complement(p).k == p.k

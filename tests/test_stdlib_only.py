@@ -1,4 +1,6 @@
-"""popkit has no runtime dependencies beyond the standard library."""
+"""popkit has no runtime dependencies beyond the standard library, and
+the oracle module bench/oracles.py imports only the standard library too,
+so nothing from popkit can leak into the values the tests expect."""
 
 import ast
 import sys
@@ -6,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "popkit").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "popkit").glob("*.py")) + [
+    ROOT / "bench" / "oracles.py"
+]
 
 
 def _absolute_imports(path: Path) -> list[str]:

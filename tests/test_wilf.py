@@ -1,8 +1,8 @@
 import itertools
-import random
 
 import pytest
 
+from poset_gen import seeded_posets
 from popkit import (
     InvalidInputError,
     PatternFamily,
@@ -36,22 +36,6 @@ def frontier_orbit(p):
                 orbit.add(image)
                 frontier.append(image)
     return frozenset(orbit)
-
-
-def seeded_posets(count, seed=20261018):
-    """Random posets on k <= 5 labels from seeded linear extensions."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        k = rng.randint(1, 5)
-        order = list(range(1, k + 1))
-        rng.shuffle(order)
-        pairs = [
-            (order[i], order[j])
-            for i in range(k)
-            for j in range(i + 1, k)
-            if rng.random() < 0.4
-        ]
-        yield from_relations(k, pairs)
 
 
 def reference_classes(family, n_max):
@@ -134,7 +118,7 @@ class TestSymmetryOrbit:
         posets = itertools.chain(
             n_pattern_family().members,
             cb_family(6, 3).members,
-            seeded_posets(30),
+            seeded_posets(30, 20261018, 5),
         )
         for p in posets:
             assert symmetry_orbit(p) == frontier_orbit(p)
