@@ -1,25 +1,41 @@
-"""Exact brute-force avoidance counting.
+"""Exact avoidance counting by a walk over merged prefix states.
 
-One depth-first walk produces every count.  It builds permutations one
-entry at a time, left to right, in reduced form: a prefix of length m
-is a permutation of {1..m} recording the relative order of the entries
-placed so far, and appending an entry of rank r bumps the existing
-values >= r up by one.  Containment is hereditary (deleting an entry
-never creates an occurrence), so every avoider of length n extends an
-avoider of length n-1 and only avoiding prefixes are ever extended.
+Permutations are built one entry at a time, left to right, in reduced
+form: a prefix of length m is a permutation of {1..m}, and appending an
+entry of rank r bumps the existing values >= r up by one.  Containment
+is hereditary (deleting an entry never creates an occurrence), so every
+avoider of length n extends an avoider of length n-1.
 
-Because the prefix avoids the pattern p of length k, an occurrence in
-an extension must put slot k on the new entry.  The walk therefore
-enumerates once, per prefix, the occurrences of slots 1..k-1 in it.
-Each one forbids the new ranks r with
+What a prefix can still become depends only on its partial occurrences
+of the pattern p of length k: choices of slots 1..j (j < k) on entries
+of the prefix.  Each one is kept as a summary: j, and for every later
+slot s that some relation names a window (lo, hi] of the ranks a new
+entry may take there, lo being the largest value at a matched slot below
+s (0 if none) and hi the smallest at a matched slot above s (m+1 if
+none).  The state of a prefix is the set of its summaries, and prefixes
+with equal states have the same future, so the walk keeps, for each
+length m, only a map from state to the number of avoiding prefixes it
+stands for.  a(m) is the sum of that map's values.
 
-    max(values at slots below k) < r <= min(values at slots above k),
+Appending rank r shifts each bound b to b + (b >= r).  A summary whose
+window for slot j+1 holds r also extends to slot j+1 on the new entry,
+whose value r tightens the windows of the later slots it relates to.
+A child in which some summary completes slot k contains p and is
+dropped.  Four prunings keep the states few:
 
-where the maximum of no values is 0 and the minimum of none is m+1.
-Every rank outside the union of these intervals gives an avoiding
-child.  The walk keeps only the counts a(0..n_max) and an explicit
-stack of pending prefixes, so its depth is not bounded by Python's
-recursion limit.
+1. a summary with an empty window can never extend, and is dropped;
+2. a summary whose windows fit, one by one, inside those of another
+   summary with the same j completes only where the other does too, and
+   is dropped;
+3. a summary that needs more entries (k - j) than the walk will still
+   append is dropped, so a pattern longer than n_max costs nothing;
+4. the last level is never built: each state's avoiding children are
+   counted from the bitmask of ranks that complete p.
+
+The walk holds one level and the level it is building, nothing more.
+Within a level the summaries are numbered and a state is a bitmask over
+them, so each state costs one integer next to its count, and the moves
+of each summary are worked out once per level, not once per state.
 
 Quasi-avoiders (p occurs, but not in the one-shorter prefix) come from
 the same counts: a*(n) = n a(n-1) - a(n).
@@ -34,7 +50,6 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import InvalidInputError
-from .matcher import _search, _slot_constraints
 from .perms import DEFAULT_CAP, _check_cap
 from .posets import Poset
 
@@ -80,36 +95,143 @@ class CountSequence:
         return self.values[n]
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _inside(a: tuple, b: tuple) -> bool:
+    """True when summary a's windows fit, one by one, inside b's."""
+    return all(x >= y for x, y in zip(a[1], b[1])) and all(
+        x <= y for x, y in zip(a[2], b[2])
+    )
+
+
 def _avoider_counts(p: Poset, n_max: int) -> list[int]:
-    """a(0..n_max) by one depth-first walk over the avoiding prefixes."""
+    """a(0..n_max) by one walk over the states of each length."""
     if p.k == 0:
         raise InvalidInputError(
             "the empty pattern occurs in every permutation"
         )
     k = p.k
-    table = _slot_constraints(p)
-    below = [s for s, smaller_first in table.get(k, ()) if smaller_first]
-    above = [s for s, smaller_first in table.get(k, ()) if not smaller_first]
-    counts = [0] * (n_max + 1)
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        m = len(prefix)
-        counts[m] += 1
-        if m == n_max:
-            continue
-        # Bit r set: appending rank r completes an occurrence.
-        forbidden = 0
-        for occ in _search(prefix, k - 1, table):
-            lo = max((prefix[occ[s]] for s in below), default=0)
-            hi = min((prefix[occ[s]] for s in above), default=m + 1)
-            if lo < hi:
-                forbidden |= (1 << (hi + 1)) - (1 << (lo + 1))
-        for rank in range(1, m + 2):
-            if not forbidden >> rank & 1:
-                stack.append(
-                    tuple(v if v < rank else v + 1 for v in prefix) + (rank,)
-                )
+    named = sorted({s for pair in p.relations for s in pair})
+    index = {s: i for i, s in enumerate(named)}
+    # The later slots whose windows a value at slot s tightens: from
+    # below when s is below them, from above when they are below s.
+    raises: dict[int, list[int]] = {s: [] for s in named}
+    lowers: dict[int, list[int]] = {s: [] for s in named}
+    for a, b in p.relations:
+        if a < b:
+            raises[a].append(index[b])
+        else:
+            lowers[b].append(index[a])
+
+    def step(summary, m, r, j_min):
+        """What one summary of a length-m prefix leaves when rank r is
+        appended: itself shifted, and its extension to the next slot if
+        that slot's window holds r.  None is a dropped summary, True an
+        extension that completes p."""
+        j, lows, highs = summary
+        lows_r = tuple(b + (b >= r) for b in lows)
+        highs_r = tuple(b + (b >= r) for b in highs)
+        kept = (j, lows_r, highs_r) if j >= j_min else None
+        s = j + 1
+        i = index.get(s)
+        lo, hi = (0, m + 1) if i is None else (lows[i], highs[i])
+        if not lo < r <= hi:
+            return kept, None
+        if s == k:
+            return kept, True
+        if s < j_min:
+            return kept, None
+        if i is None:
+            return kept, (s, lows_r, highs_r)
+        lows_s, highs_s = list(lows_r), list(highs_r)
+        lows_s[i] = highs_s[i] = 0
+        for t in raises[s]:
+            lows_s[t] = max(lows_s[t], r)
+        for t in lowers[s]:
+            highs_s[t] = min(highs_s[t], r)
+        if any(lows_s[t] >= highs_s[t] for t in raises[s] + lowers[s]):
+            return kept, None
+        return kept, (s, tuple(lows_s), tuple(highs_s))
+
+    counts = [1] + [0] * n_max
+    # One level: its summaries, and the number of prefixes of each state,
+    # a bitmask over those summaries.
+    summaries = [(0, (0,) * len(named), (1,) * len(named))]
+    level = {1 if k <= n_max else 0: 1}
+    for m in range(n_max):
+        # A child summary needs k - j more entries; n_max - m - 1 remain.
+        j_min = k - (n_max - m - 1)
+        ids: dict[tuple, int] = {}
+        forbids = []  # bit r: appending rank r completes p
+        moves = []  # per rank: the child summaries, as a bitmask
+        for summary in summaries:
+            forbid = 0
+            row = []
+            for r in range(1, m + 2):
+                kids = 0
+                for child in step(summary, m, r, j_min):
+                    if child is True:
+                        forbid |= 1 << r
+                    elif child is not None:
+                        kids |= 1 << ids.setdefault(child, len(ids))
+                row.append(kids)
+            forbids.append(forbid)
+            moves.append(row)
+        if m == n_max - 1:
+            # The last level is only counted, never built.
+            for state, count in level.items():
+                forbid = 0
+                for i in _bits(state):
+                    forbid |= forbids[i]
+                counts[n_max] += count * (n_max - forbid.bit_count())
+            break
+        summaries = list(ids)
+        # covers[i]: the summaries whose windows fit inside summary i's.
+        by_j: dict[int, list[int]] = {}
+        for i, summary in enumerate(summaries):
+            by_j.setdefault(summary[0], []).append(i)
+        covers = [0] * len(summaries)
+        for group in by_j.values():
+            for a in group:
+                for b in group:
+                    if a != b and _inside(summaries[b], summaries[a]):
+                        covers[a] |= 1 << b
+        # Pair each move with the summaries its own summaries cover.
+        redundant: dict[int, int] = {}
+        for row in moves:
+            for kids in row:
+                if kids not in redundant:
+                    redundant[kids] = 0
+                    for i in _bits(kids):
+                        redundant[kids] |= covers[i]
+        moves = [[(kids, redundant[kids]) for kids in row] for row in moves]
+        children: dict[int, int] = {}
+        for state, count in level.items():
+            mine = _bits(state)
+            forbid = 0
+            for i in mine:
+                forbid |= forbids[i]
+            rows = [moves[i] for i in mine]
+            for r in range(1, m + 2):
+                if forbid >> r & 1:
+                    continue
+                child = covered = 0
+                for row in rows:
+                    kids, kills = row[r - 1]
+                    child |= kids
+                    covered |= kills
+                child &= ~covered
+                children[child] = children.get(child, 0) + count
+        level = children
+        counts[m + 1] = sum(level.values())
     return counts
 
 

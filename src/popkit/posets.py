@@ -230,17 +230,27 @@ def dc_pop(words: Sequence[Permutation | Sequence[int]]) -> Poset:
     return from_relations(total, covers)
 
 
+def _symmetric_image(k: int, relations: Iterable[Pair]) -> Poset:
+    """A Poset built without Poset's checks, for the image of a valid
+    poset under a label symmetry: relabelling or reversing every pair
+    keeps the labels in 1..k, the relation closed and free of cycles."""
+    image = object.__new__(Poset)
+    object.__setattr__(image, "k", k)
+    object.__setattr__(image, "relations", frozenset(relations))
+    return image
+
+
 def label_complement(p: Poset) -> Poset:
     """Replace each label x by k+1-x (an avoidance-preserving symmetry)."""
     k = p.k
-    return Poset(
-        k, frozenset((k + 1 - a, k + 1 - b) for a, b in p.relations)
+    return _symmetric_image(
+        k, ((k + 1 - a, k + 1 - b) for a, b in p.relations)
     )
 
 
 def vertical_flip(p: Poset) -> Poset:
     """Order dual: reverse every relation (avoidance-preserving)."""
-    return Poset(p.k, frozenset((b, a) for a, b in p.relations))
+    return _symmetric_image(p.k, ((b, a) for a, b in p.relations))
 
 
 def is_bipartite(p: Poset) -> bool:

@@ -1,9 +1,13 @@
+import ast
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_avoider_counts
+import popkit.counting
+from dfs_oracle import dfs_avoider_counts
+from oracles import catalan, naive_avoider_counts
 from poset_gen import poset_strategy, seeded_posets
 from popkit import (
     CountSequence,
@@ -20,8 +24,10 @@ from popkit import (
     from_relations,
     label_complement,
     n_pattern,
+    pop_from_text,
     quasi_avoids,
     symmetry_orbit,
+    theorem_sequence,
     vertical_flip,
     zigzag,
 )
@@ -129,6 +135,25 @@ class TestAvoidanceSequence:
         for q in symmetry_orbit(p):
             assert list(avoidance_sequence(q, n_max).values) == subset, q
 
+    @settings(max_examples=100, deadline=None)
+    @given(poset_strategy(6), st.integers(0, 8))
+    def test_state_walk_equals_depth_first_walk(self, p, n_max):
+        # the depth-first walk visits every avoiding prefix and shares
+        # no code with the state walk
+        got = list(avoidance_sequence(p, n_max).values)
+        assert got == dfs_avoider_counts(p, n_max), p
+
+    def test_engine_imports_nothing_from_the_matcher(self):
+        # counting builds its own relation table, so the matcher is not
+        # in the path of any count
+        tree = ast.parse(Path(popkit.counting.__file__).read_text(encoding="utf-8"))
+        modules = {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        }
+        assert not {"matcher", "popkit.matcher"} & modules
+
     def test_alternating_path_search_values(self):
         # The search values for this word; the acceptance fixture c11
         # records 448 and 1888 instead and fails by design.
@@ -149,6 +174,27 @@ class TestAvoidanceSequence:
             for n in range(1, 8):
                 assert seq[n] <= factorial(n)
                 assert seq[n] <= n * seq[n - 1]
+
+
+class TestCapLength:
+    """Exact counts at the default cap n = 12 against named oracles."""
+
+    def test_exceptional_length5_pattern(self):
+        seq = avoidance_sequence(pop_from_text("cb:5:{1,4}"), 12)
+        assert seq.values == theorem_sequence("CB-14-235", 12).values
+        assert seq[12] == 5118516
+
+    def test_two_adjacent_top_labels(self):
+        seq = avoidance_sequence(complete_bipartite(4, {1, 2}), 12)
+        assert seq.values == theorem_sequence("B2", 12, k=4).values
+
+    def test_classical_123_gives_catalan(self):
+        seq = avoidance_sequence(chain((1, 2, 3)), 12)
+        assert list(seq.values) == catalan(12)
+
+    def test_pattern_longer_than_the_permutations(self):
+        seq = avoidance_sequence(complete_bipartite(12, {1, 2, 3, 4, 5}), 5)
+        assert seq.values == tuple(factorial(n) for n in range(6))
 
 
 class TestCountQuasiAvoiders:
