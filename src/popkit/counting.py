@@ -21,15 +21,19 @@ Appending rank r shifts each bound b to b + (b >= r).  A summary whose
 window for slot j+1 holds r also extends to slot j+1 on the new entry,
 whose value r tightens the windows of the later slots it relates to.
 A child in which some summary completes slot k contains p and is
-dropped.  Four prunings keep the states few:
+dropped.  No window ever empties, because p is stored transitively
+closed.  When slot s takes rank r, take a later slot t above s: every
+matched slot above t is above s too, so r <= hi_s <= hi_t before the
+shift and r < hi_t after it, and the shift keeps lo_t < hi_t, so t's
+new window (max(lo_t, r), hi_t] is not empty.  Later slots below s
+mirror this.  Three prunings keep the states few:
 
-1. a summary with an empty window can never extend, and is dropped;
-2. a summary whose windows fit, one by one, inside those of another
+1. a summary whose windows fit, one by one, inside those of another
    summary with the same j completes only where the other does too, and
    is dropped;
-3. a summary that needs more entries (k - j) than the walk will still
+2. a summary that needs more entries (k - j) than the walk will still
    append is dropped, so a pattern longer than n_max costs nothing;
-4. the last level is never built: each state's avoiding children are
+3. the last level is never built: each state's avoiding children are
    counted from the bitmask of ranks that complete p.
 
 The walk holds one level and the level it is building, nothing more.
@@ -135,7 +139,8 @@ def _avoider_counts(p: Poset, n_max: int) -> list[int]:
         """What one summary of a length-m prefix leaves when rank r is
         appended: itself shifted, and its extension to the next slot if
         that slot's window holds r.  None is a dropped summary, True an
-        extension that completes p."""
+        extension that completes p.  Tightening the later windows by r
+        never empties one, since p is closed (module docstring)."""
         j, lows, highs = summary
         lows_r = tuple(b + (b >= r) for b in lows)
         highs_r = tuple(b + (b >= r) for b in highs)
@@ -157,8 +162,6 @@ def _avoider_counts(p: Poset, n_max: int) -> list[int]:
             lows_s[t] = max(lows_s[t], r)
         for t in lowers[s]:
             highs_s[t] = min(highs_s[t], r)
-        if any(lows_s[t] >= highs_s[t] for t in raises[s] + lowers[s]):
-            return kept, None
         return kept, (s, tuple(lows_s), tuple(highs_s))
 
     counts = [1] + [0] * n_max

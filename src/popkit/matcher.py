@@ -35,14 +35,18 @@ def _slot_constraints(p: Poset) -> _Plan:
     return table
 
 
-def _search(values: Sequence[int], k: int, table: _Plan) -> Iterator[tuple[int, ...]]:
-    """Yield occurrences as 0-based position tuples."""
-    n = len(values)
+def _search(pi: Permutation | Sequence[int], p: Poset) -> Iterator[tuple[int, ...]]:
+    """Yield occurrences of p in pi as 0-based position tuples; ties are
+    rejected."""
+    values = tuple(pi)
+    _check_distinct(values)
+    n, k = len(values), p.k
     if k == 0:
         yield ()
         return
     if n < k:
         return
+    table = _slot_constraints(p)
     chosen = [0] * k
 
     def extend(slot: int, start: int) -> Iterator[tuple[int, ...]]:
@@ -62,22 +66,15 @@ def _search(values: Sequence[int], k: int, table: _Plan) -> Iterator[tuple[int, 
     yield from extend(1, 0)
 
 
-def _matches(pi: Permutation | Sequence[int], p: Poset) -> Iterator[tuple[int, ...]]:
-    """Occurrences of p in pi as 0-based position tuples; ties are rejected."""
-    values = tuple(pi)
-    _check_distinct(values)
-    return _search(values, p.k, _slot_constraints(p))
-
-
 def occurrences(pi: Permutation | Sequence[int], p: Poset) -> Iterator[tuple[int, ...]]:
     """Yield each occurrence of p in pi as a tuple of 1-based positions."""
-    for chosen in _matches(pi, p):
+    for chosen in _search(pi, p):
         yield tuple(pos + 1 for pos in chosen)
 
 
 def contains(pi: Permutation | Sequence[int], p: Poset) -> bool:
     """True iff pi has at least one occurrence of p (short-circuits)."""
-    return next(_matches(pi, p), None) is not None
+    return next(_search(pi, p), None) is not None
 
 
 def avoids(pi: Permutation | Sequence[int], p: Poset) -> bool:
@@ -87,7 +84,7 @@ def avoids(pi: Permutation | Sequence[int], p: Poset) -> bool:
 
 def count_occurrences(pi: Permutation | Sequence[int], p: Poset) -> int:
     """Number of position subsets forming occurrences of p in pi."""
-    return sum(1 for _ in _matches(pi, p))
+    return sum(1 for _ in _search(pi, p))
 
 
 def quasi_avoids(pi: Permutation | Sequence[int], p: Poset) -> bool:

@@ -17,9 +17,12 @@ Relations are stored transitively closed; every constructed Poset is a
 valid strict partial order or the builder raises.  Closure, closedness
 and bipartiteness all come from R∘R: R is closed when R∘R ⊆ R,
 bipartite when R∘R is empty, and its closure is the fixpoint of R ∪ R∘R.
-Builders list only covers and from_relations alone closes them; the
-bipartite builders (complete_bipartite, zigzag) build a Poset directly,
-since R∘R is empty for them and their covers are already closed.
+A direct Poset(...) call checks its input, which comes from outside, in
+full.  Every builder instead checks its own arguments and ends in the
+trusted constructor _trusted, which checks nothing: from_relations
+closes its covers and rejects a cycle, the bipartite builders
+(complete_bipartite, zigzag) list relations whose R∘R is empty, and the
+label symmetries map a valid poset to a valid poset.
 """
 
 from __future__ import annotations
@@ -63,6 +66,17 @@ def _compose(rels: frozenset[Pair]) -> set[Pair]:
     return {(a, c) for a, b in rels for c in above.get(b, ())}
 
 
+def _check_acyclic(closed: frozenset[Pair]) -> None:
+    """Reject a closed relation with a cycle.  A closed relation is
+    antisymmetric once it is irreflexive: (a, b) and (b, a) close to
+    (a, a)."""
+    loops = [a for a, b in closed if a == b]
+    if loops:
+        raise InvalidPosetError(
+            f"relations contain a cycle through label {min(loops)}"
+        )
+
+
 @dataclass(frozen=True)
 class Poset:
     """Strict partial order on labels {1..k}, stored transitively closed.
@@ -81,13 +95,7 @@ class Poset:
         _check_labels(self.k, rels)
         if not _compose(rels) <= rels:
             raise InvalidPosetError("relations are not transitively closed")
-        # A closed relation is antisymmetric once it is irreflexive:
-        # (a, b) and (b, a) close to (a, a).
-        loops = [a for a, b in rels if a == b]
-        if loops:
-            raise InvalidPosetError(
-                f"relations contain a cycle through label {min(loops)}"
-            )
+        _check_acyclic(rels)
 
     def __repr__(self) -> str:
         pairs = ",".join(f"({a},{b})" for a, b in sorted(self.relations))
@@ -98,20 +106,32 @@ class Poset:
         return (a, b) in self.relations
 
 
+def _trusted(k: int, relations: Iterable[Pair]) -> Poset:
+    """A Poset built without Poset's checks, the last step of every
+    builder.  Each caller guarantees what the checks would find: k is a
+    non-negative int, every label is an int in 1..k, and the relations
+    are transitively closed and hold no pair (a, a)."""
+    poset = object.__new__(Poset)
+    object.__setattr__(poset, "k", k)
+    object.__setattr__(poset, "relations", frozenset(relations))
+    return poset
+
+
 def from_relations(k: int, covers: Iterable[Pair]) -> Poset:
     """Poset generated by arbitrary relation pairs (a below b).
 
-    The pairs are closed by at most ceil(log2 k) rounds of R ∪ R∘R and
-    checked like any Poset, so a cycle (including a pair given in both
-    directions) is rejected.  An empty cover list gives the antichain,
-    which every length-k subsequence matches.
+    The pairs are closed by at most ceil(log2 k) rounds of R ∪ R∘R, and
+    a cycle (including a pair given in both directions) is rejected.  An
+    empty cover list gives the antichain, which every length-k
+    subsequence matches.
     """
     pairs = tuple(covers)
     _check_labels(k, pairs)
     closed = frozenset(pairs)
     while not (longer := _compose(closed)) <= closed:
         closed |= longer
-    return Poset(k, closed)
+    _check_acyclic(closed)
+    return _trusted(k, closed)
 
 
 def chain(word: Permutation | Sequence[int]) -> Poset:
@@ -144,7 +164,8 @@ def complete_bipartite(k: int, a_set: Iterable[int]) -> Poset:
             "upper set must be a nonempty proper subset of the labels"
         )
     b_labels = set(range(1, k + 1)) - a_labels
-    return Poset(k, frozenset((b, a) for b in b_labels for a in a_labels))
+    # No label of a_set is below another label, so R∘R is empty.
+    return _trusted(k, ((b, a) for b in b_labels for a in a_labels))
 
 
 def n_pattern(word: Permutation | Sequence[int]) -> Poset:
@@ -182,11 +203,12 @@ def zigzag(word: Permutation | Sequence[int], shape: str) -> Poset:
     for prev, cur in zip(steps, steps[1:]):
         if prev == cur:
             raise InvalidInputError(f"shape {shape!r} does not alternate")
-    pairs = set()
-    for i, step in enumerate(steps):
-        a, b = word[i], word[i + 1]
-        pairs.add((a, b) if step == "^" else (b, a))
-    return Poset(len(word), frozenset(pairs))
+    # Alternating steps make every label a local maximum or minimum of
+    # the path, so no relation follows another: R∘R is empty.
+    edges = zip(steps, word, word.entries[1:])
+    return _trusted(
+        len(word), ((a, b) if step == "^" else (b, a) for step, a, b in edges)
+    )
 
 
 def dc_pop(words: Sequence[Permutation | Sequence[int]]) -> Poset:
@@ -230,27 +252,15 @@ def dc_pop(words: Sequence[Permutation | Sequence[int]]) -> Poset:
     return from_relations(total, covers)
 
 
-def _symmetric_image(k: int, relations: Iterable[Pair]) -> Poset:
-    """A Poset built without Poset's checks, for the image of a valid
-    poset under a label symmetry: relabelling or reversing every pair
-    keeps the labels in 1..k, the relation closed and free of cycles."""
-    image = object.__new__(Poset)
-    object.__setattr__(image, "k", k)
-    object.__setattr__(image, "relations", frozenset(relations))
-    return image
-
-
 def label_complement(p: Poset) -> Poset:
     """Replace each label x by k+1-x (an avoidance-preserving symmetry)."""
     k = p.k
-    return _symmetric_image(
-        k, ((k + 1 - a, k + 1 - b) for a, b in p.relations)
-    )
+    return _trusted(k, ((k + 1 - a, k + 1 - b) for a, b in p.relations))
 
 
 def vertical_flip(p: Poset) -> Poset:
     """Order dual: reverse every relation (avoidance-preserving)."""
-    return _symmetric_image(p.k, ((b, a) for a, b in p.relations))
+    return _trusted(p.k, ((b, a) for a, b in p.relations))
 
 
 def is_bipartite(p: Poset) -> bool:

@@ -153,9 +153,7 @@ def thm_b1_gf(k: int) -> RationalGf:
         raise InvalidInputError("pattern length must be at least 1")
     den = (1, -(k - 1))
     poly = tuple(factorial(i) for i in range(k))
-    num = list(_poly_mul(poly, den))
-    while len(num) < k + 1:
-        num.append(0)
+    num = list(_poly_mul(poly, den))  # k + 1 terms
     num[k] += (k - 1) * factorial(k - 1)
     return RationalGf(tuple(num), den)
 

@@ -1,11 +1,12 @@
 """The depth-first counting walk, kept as a test oracle for the engine.
 
-It visits every avoiding prefix and asks the matcher for the occurrences
-of slots 1..k-1 in it, so it shares no code with counting's state walk.
-The test modules import it; pytest does not collect it.
+It visits every avoiding prefix and asks the public matcher for the
+occurrences of slots 1..k-1 in it, so it shares no code with counting's
+state walk.  The test modules import it; pytest does not collect it.
 """
 
-from popkit.matcher import _search, _slot_constraints
+from popkit.matcher import occurrences
+from popkit.posets import Poset
 
 
 def dfs_avoider_counts(p, n_max):
@@ -21,9 +22,10 @@ def dfs_avoider_counts(p, n_max):
     the maximum of no values being 0 and the minimum of none m+1.
     """
     k = p.k
-    table = _slot_constraints(p)
-    below = [s for s, smaller_first in table.get(k, ()) if smaller_first]
-    above = [s for s, smaller_first in table.get(k, ()) if not smaller_first]
+    # Slots 1..k-1 of p: the restriction of a closed order is closed.
+    head = Poset(k - 1, frozenset(r for r in p.relations if max(r) < k))
+    below = [a for a, b in p.relations if b == k]
+    above = [b for a, b in p.relations if a == k]
     counts = [0] * (n_max + 1)
     stack = [()]
     while stack:
@@ -34,9 +36,9 @@ def dfs_avoider_counts(p, n_max):
             continue
         # Bit r set: appending rank r completes an occurrence.
         forbidden = 0
-        for occ in _search(prefix, k - 1, table):
-            lo = max((prefix[occ[s]] for s in below), default=0)
-            hi = min((prefix[occ[s]] for s in above), default=m + 1)
+        for occ in occurrences(prefix, head):
+            lo = max((prefix[occ[s - 1] - 1] for s in below), default=0)
+            hi = min((prefix[occ[s - 1] - 1] for s in above), default=m + 1)
             if lo < hi:
                 forbidden |= (1 << (hi + 1)) - (1 << (lo + 1))
         for rank in range(1, m + 2):

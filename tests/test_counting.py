@@ -48,6 +48,16 @@ class TestCountSequence:
         with pytest.raises(InvalidInputError):
             CountSequence("x", (2, 1), "brute-force")
 
+    def test_needs_a_value(self):
+        with pytest.raises(InvalidInputError) as info:
+            CountSequence("x", (), "brute-force")
+        assert str(info.value) == "a sequence needs at least a(0)"
+
+    def test_negative_value_rejected(self):
+        with pytest.raises(InvalidInputError) as info:
+            CountSequence("x", (1, -1), "brute-force")
+        assert str(info.value) == "avoidance counts cannot be negative"
+
     def test_factorial_prefix_enforced_for_posets(self):
         # a(n) must be n! strictly below the pattern length
         with pytest.raises(InvalidInputError):

@@ -97,6 +97,11 @@ def outcome(call):
 
 
 class TestArithmetic:
+    def test_needs_the_order_zero_count(self):
+        with pytest.raises(InvalidInputError) as info:
+            TruncatedEgf(())
+        assert str(info.value) == "need at least the order-0 count"
+
     def test_add_is_termwise(self):
         a = egf_from_counts([1, 2, 3])
         b = egf_from_counts([4, 5, 6])

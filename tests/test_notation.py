@@ -73,6 +73,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_pop("chain:120")
 
+    def test_missing_shape_offset(self):
+        with pytest.raises(ParseError) as info:
+            parse_pop("zz::12")
+        assert info.value.offset == 3
+        assert str(info.value) == "expected a shape at offset 3 (expected: '^', 'v')"
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_pop("chain:123 extra")

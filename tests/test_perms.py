@@ -61,6 +61,19 @@ class TestPermutation:
     def test_from_text(self):
         assert Permutation.from_text("24513") == Permutation((2, 4, 5, 1, 3))
 
+    def test_from_text_empty_and_comma_forms(self):
+        assert Permutation.from_text("") == Permutation(())
+        long = Permutation.from_text("10,1,2,3,4,5,6,7,8,9")
+        assert long == Permutation((10, *range(1, 10)))
+
+    def test_from_text_rejects_non_digits(self):
+        with pytest.raises(InvalidInputError) as info:
+            Permutation.from_text("1a")
+        assert str(info.value) == "bad permutation text '1a'"
+
+    def test_repr(self):
+        assert repr(Permutation((2, 1, 3))) == "Permutation([2, 1, 3])"
+
     def test_equality_and_hash(self):
         assert Permutation((1, 2)) == Permutation((1, 2))
         assert hash(Permutation((1, 2))) == hash(Permutation((1, 2)))

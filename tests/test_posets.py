@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from poset_gen import poset_strategy
 from popkit import (
@@ -324,6 +324,15 @@ class TestBuilders:
         with pytest.raises(InvalidInputError):
             zigzag((1, 2, 3), "^v^")
 
+    def test_zigzag_rejects_bad_shape_character(self):
+        with pytest.raises(InvalidInputError) as info:
+            zigzag((1, 2), "x")
+        assert str(info.value) == "bad shape character in 'x'"
+
+    def test_poset_repr_lists_sorted_pairs(self):
+        assert repr(chain((2, 1, 3))) == "Poset(k=3, relations={(1,3),(2,1),(2,3)})"
+        assert repr(from_relations(2, [])) == "Poset(k=2, relations={})"
+
     def test_dc_pop_literal_labels(self):
         # letters cover 1..3 exactly, so they are taken literally:
         # the chain reads top down as 3 above 1, and 2 sits alone
@@ -392,6 +401,89 @@ class TestSymmetryMaps:
         for q in (label_complement(p), vertical_flip(p)):
             assert Poset(q.k, q.relations) == q
             assert q.k == p.k
+
+
+def top_sets():
+    """k <= 8 and a nonempty proper subset of 1..k."""
+    return st.integers(2, 8).flatmap(
+        lambda k: st.tuples(
+            st.just(k), st.sets(st.integers(1, k), min_size=1, max_size=k - 1)
+        )
+    )
+
+
+def perm_words(min_k, max_k):
+    """A permutation of 1..k for k in min_k..max_k."""
+    return st.integers(min_k, max_k).flatmap(
+        lambda k: st.permutations(range(1, k + 1))
+    )
+
+
+@st.composite
+def zigzag_args(draw):
+    """A word and an alternating shape one step shorter, in either
+    alphabet, starting up or down."""
+    word = draw(perm_words(1, 8))
+    steps = draw(st.sampled_from(("^v", "v^", "∧∨", "∨∧")))
+    return word, "".join(steps[i % 2] for i in range(len(word) - 1))
+
+
+@st.composite
+def chain_words(draw):
+    """Words for dc_pop: a split of 1..K, taken literally, or letters
+    from 10 up, which are reduced block by block."""
+    if draw(st.booleans()):
+        labels = draw(perm_words(1, 8))
+        cuts = [i for i in range(1, len(labels)) if draw(st.booleans())]
+        bounds = [0, *cuts, len(labels)]
+        return [tuple(labels[a:b]) for a, b in zip(bounds, bounds[1:])]
+    letters = st.lists(st.integers(10, 30), min_size=1, max_size=3, unique=True)
+    return draw(st.lists(letters, min_size=1, max_size=3))
+
+
+@st.composite
+def pair_lists(draw):
+    """k <= 8 and up to 12 pairs of labels in 1..k, cycles allowed."""
+    k = draw(st.integers(1, 8))
+    label = st.integers(1, k)
+    return k, draw(st.lists(st.tuples(label, label), max_size=12))
+
+
+def assert_passes_checks(q):
+    # the builders skip Poset's checks; the checked constructor accepts
+    # each output unchanged
+    assert Poset(q.k, q.relations) == q
+
+
+class TestTrustedConstructor:
+    @given(top_sets())
+    def test_complete_bipartite(self, args):
+        assert_passes_checks(complete_bipartite(*args))
+
+    @given(zigzag_args())
+    def test_zigzag(self, args):
+        assert_passes_checks(zigzag(*args))
+
+    @given(perm_words(4, 4))
+    def test_n_pattern(self, word):
+        assert_passes_checks(n_pattern(word))
+
+    @given(perm_words(0, 8))
+    def test_chain(self, word):
+        assert_passes_checks(chain(word))
+
+    @given(chain_words())
+    def test_dc_pop(self, word_list):
+        assert_passes_checks(dc_pop(word_list))
+
+    @given(pair_lists())
+    def test_from_relations(self, args):
+        k, pairs = args
+        if any(a == b for a, b in warshall_closure(k, pairs)):
+            with pytest.raises(InvalidPosetError, match="cycle"):
+                from_relations(k, pairs)
+        else:
+            assert_passes_checks(from_relations(k, pairs))
 
 
 class TestIsBipartite:

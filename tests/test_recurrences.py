@@ -70,6 +70,11 @@ class TestSingleTopLabel:
         with pytest.raises(InvalidInputError):
             theorem_sequence("B1", 5, k=0)
 
+    def test_gf_bad_k(self):
+        with pytest.raises(InvalidInputError) as info:
+            thm_b1_gf(0)
+        assert str(info.value) == "pattern length must be at least 1"
+
 
 class TestTwoTopLabels:
     def test_k4_oracle(self):
@@ -193,6 +198,11 @@ class TestPathPatternClasses:
             assert n_class2_binomial_sum(n) == sum(
                 comb(n + 2 * i - 1, 3 * i) for i in range(n)
             )
+
+    def test_class2_binomial_sum_starts_at_one(self):
+        with pytest.raises(InvalidInputError) as info:
+            n_class2_binomial_sum(0)
+        assert str(info.value) == "binomial form defined for n >= 1"
 
     def test_class2_gf(self, monkeypatch):
         _certify(monkeypatch, n_class2, n_class2_gf())
