@@ -1,9 +1,9 @@
 """Exact truncated exponential-generating-function arithmetic.
 
 A TruncatedEgf holds the integer counts c(0..order) of a series
-sum c(n) x^n / n!, so multiplication is the binomial convolution
-(f g)(n) = sum C(n,i) f(i) g(n-i) and all arithmetic stays in unbounded
-integers.  The composition rules for disjoint-chain patterns live here:
+sum c(n) x^n / n!.  The product is the binomial convolution: count n is
+one inner product of Pascal's row n (built from row n-1) with f and
+reversed g, in unbounded integers.  Disjoint-chain rules live here too:
 the quasi-avoider transform A* = (x-1)A + 1, the one-extra-chain
 composition C = A + B A*, its right fold over m chains (the Horner form
 A_1 + A_1*(A_2 + A_2*(... + A_(m-1)* A_m))), the closed form
@@ -14,7 +14,9 @@ the avoidance series of each chain itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import add, mul, sub
 from typing import Sequence
 
 from .counting import CountSequence, avoidance_sequence
@@ -49,9 +51,7 @@ class TruncatedEgf:
 
     def __sub__(self, other: "TruncatedEgf") -> "TruncatedEgf":
         _check_orders(self, other)
-        return TruncatedEgf(
-            tuple(a - b for a, b in zip(self.counts, other.counts))
-        )
+        return TruncatedEgf(tuple(map(sub, self.counts, other.counts)))
 
     def __mul__(self, other: "TruncatedEgf") -> "TruncatedEgf":
         return egf_mul(self, other)
@@ -66,18 +66,17 @@ def _check_orders(f: TruncatedEgf, g: TruncatedEgf) -> None:
 
 def egf_add(f: TruncatedEgf, g: TruncatedEgf) -> TruncatedEgf:
     _check_orders(f, g)
-    return TruncatedEgf(tuple(a + b for a, b in zip(f.counts, g.counts)))
+    return TruncatedEgf(tuple(map(add, f.counts, g.counts)))
 
 
 def egf_mul(f: TruncatedEgf, g: TruncatedEgf) -> TruncatedEgf:
-    """Binomial convolution: the product series' counts."""
+    """Binomial convolution: one Pascal-row inner product per count."""
     _check_orders(f, g)
-    return TruncatedEgf(
-        tuple(
-            sum(comb(n, i) * f.counts[i] * g.counts[n - i] for i in range(n + 1))
-            for n in range(f.order + 1)
-        )
-    )
+    row, counts = [1], []
+    for n in range(f.order + 1):
+        counts.append(sum(map(mul, map(mul, row, f.counts), g.counts[n::-1])))
+        row = [1, *map(add, row, row[1:]), 1]
+    return TruncatedEgf(tuple(counts))
 
 
 def egf_one(order: int = DEFAULT_ORDER) -> TruncatedEgf:
@@ -114,10 +113,8 @@ def quasi_transform(a: TruncatedEgf) -> TruncatedEgf:
     a(0) = 1 (one empty permutation) for the constant terms to cancel.
     """
     _check_unit(a)
-    counts = [0]
-    for n in range(1, a.order + 1):
-        counts.append(n * a.counts[n - 1] - a.counts[n])
-    return TruncatedEgf(tuple(counts))
+    c = a.counts
+    return TruncatedEgf((0, *map(sub, map(mul, range(1, len(c)), c), c[1:])))
 
 
 def chain_compose(a: TruncatedEgf, b: TruncatedEgf) -> TruncatedEgf:
@@ -179,14 +176,8 @@ def bipartite_dc_closed_form(m: int, order: int = DEFAULT_ORDER) -> TruncatedEgf
     """
     if m < 1:
         raise InvalidInputError("need at least one chain")
-    _check_length(order)
-    base = TruncatedEgf(
-        tuple(0 if n == 0 else n - 1 for n in range(order + 1))
-    )
-    power = base
-    for _ in range(m - 1):
-        power = egf_mul(power, base)
-    g = egf_one(order) - power
+    base = quasi_transform(egf_exp(order))
+    g = egf_one(order) - reduce(egf_mul, [base] * m)
     counts = [g.counts[0]]
     for n in range(1, order + 1):
         counts.append(g.counts[n] + n * counts[n - 1])

@@ -22,7 +22,8 @@ set proper?) belong to the builders, not the parser.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import lru_cache
+from typing import Iterable, Union
 
 from .errors import ParseError
 from .posets import (
@@ -232,6 +233,15 @@ def _render_word(word: tuple[int, ...]) -> str:
     return "".join(str(v) if v <= 9 else f"({v})" for v in word)
 
 
+@lru_cache(maxsize=4096)
+def _pair_text(pair: tuple[int, int]) -> str:
+    return f"({pair[0]},{pair[1]})"
+
+
+def _rel_text(k: int, sorted_pairs: Iterable[tuple[int, int]]) -> str:
+    return f"rel:{k}:{{{','.join(map(_pair_text, sorted_pairs))}}}"
+
+
 def render_pop(spec: PopSpec) -> str:
     """Canonical text for an AST (sets and relations in sorted order)."""
     if isinstance(spec, ChainSpec):
@@ -246,8 +256,7 @@ def render_pop(spec: PopSpec) -> str:
     if isinstance(spec, ZzSpec):
         return f"zz:{spec.shape}:{_render_word(spec.word)}"
     if isinstance(spec, RelSpec):
-        pairs = ",".join(f"({a},{b})" for a, b in spec.pairs)
-        return f"rel:{spec.k}:{{{pairs}}}"
+        return _rel_text(spec.k, spec.pairs)
     raise TypeError(f"not a pattern spec: {spec!r}")
 
 
@@ -275,4 +284,4 @@ def pop_from_text(text: str) -> Poset:
 
 def poset_text(p: Poset) -> str:
     """Canonical raw-relation notation for an arbitrary poset."""
-    return render_pop(RelSpec(p.k, p.relations))
+    return _rel_text(p.k, sorted(p.relations))

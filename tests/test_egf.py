@@ -1,10 +1,11 @@
 import random
 from functools import cache, partial
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import catalan
+from oracles import catalan, chain_avoiders, dc_rule
 from popkit import (
     InvalidInputError,
     PopkitError,
@@ -24,11 +25,22 @@ from popkit import (
     egf_one,
     egf_sequence,
     egf_zero,
+    parse_pop,
     quasi_transform,
 )
 from popkit import egf as egf_module
 
 counts_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=12)
+# small counts of either sign, and counts of up to 400 digits
+wide_counts = st.one_of(st.integers(-50, 50), st.integers(-(10**400), 10**400))
+
+
+def comb_product(f, g):
+    """The binomial convolution straight from its definition."""
+    return tuple(
+        sum(comb(n, i) * f[i] * g[n - i] for i in range(n + 1))
+        for n in range(len(f))
+    )
 
 
 def catalan_series(order):
@@ -163,6 +175,46 @@ class TestArithmetic:
     def test_negative_order_rejected(self, series):
         with pytest.raises(InvalidInputError, match="negative length"):
             series(-1)
+
+
+class TestProduct:
+    """egf_mul against the comb definition of the binomial convolution."""
+
+    @given(st.integers(0, 30), st.data())
+    def test_equals_comb_definition(self, order, data):
+        same_order = st.lists(wide_counts, min_size=order + 1, max_size=order + 1)
+        f, g = data.draw(same_order), data.draw(same_order)
+        got = egf_mul(egf_from_counts(f), egf_from_counts(g)).counts
+        assert got == comb_product(f, g)
+
+    @pytest.mark.parametrize("order", range(31))
+    def test_hundreds_of_digits_and_both_signs(self, order):
+        rng = random.Random(order)
+        f, g = (
+            [rng.choice((-1, 1)) * rng.randrange(10**600) for _ in range(order + 1)]
+            for _ in range(2)
+        )
+        assert max(map(abs, f + g)) > 10**300
+        got = egf_mul(egf_from_counts(f), egf_from_counts(g)).counts
+        assert got == comb_product(f, g)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_one_minus_power(self, m):
+        # the negative series 1 - (1 + (x-1)e^x)^m of the closed form
+        base = quasi_transform(egf_exp(30))
+        power = base
+        for _ in range(m - 1):
+            power = egf_mul(power, base)
+        g = egf_one(30) - power
+        assert min(g.counts) < 0
+        assert egf_mul(g, base).counts == comb_product(g.counts, base.counts)
+
+    @pytest.mark.parametrize("word", ["[1|234|567]", "[321|54|76]", "[12|3|564]"])
+    def test_chain_fold_equals_oracle_rule_at_order_200(self, word):
+        words = parse_pop(f"dc:{word}").words
+        series = dc_pop_egf([egf_module.chain_egf(w, 200, 12) for w in words])
+        expected = dc_rule([chain_avoiders(len(w), 200) for w in words])
+        assert series.counts == tuple(expected)
 
 
 class TestQuasiTransform:

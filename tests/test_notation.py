@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from poset_gen import poset_strategy
 from popkit import (
     InvalidInputError,
     ParseError,
     build_pop,
+    cb_family,
     chain,
     complete_bipartite,
     dc_pop,
@@ -13,8 +15,10 @@ from popkit import (
     pop_from_text,
     poset_text,
     render_pop,
+    symmetry_orbit,
     zigzag,
 )
+from popkit.notation import RelSpec
 
 
 ROUND_TRIP_CASES = [
@@ -153,3 +157,14 @@ class TestPosetText:
         except (InvalidInputError, InvalidPosetError):
             return
         assert pop_from_text(poset_text(p)) == p
+
+    @given(poset_strategy(12))
+    def test_equals_rendered_relation_spec(self, q):
+        assert poset_text(q) == render_pop(RelSpec(q.k, q.relations))
+
+    def test_equals_rendered_relation_spec_on_cb_12_5_orbits(self):
+        # two-digit labels, where text order and numeric order differ
+        images = {q for p in cb_family(12, 5).members for q in symmetry_orbit(p)}
+        assert len(images) == 1584
+        for q in images:
+            assert poset_text(q) == render_pop(RelSpec(q.k, q.relations))

@@ -249,6 +249,8 @@ class TestClassify:
                 ),
                 7,
             ),
+            # two-digit labels: text order and numeric order differ
+            (cb_family(10, 2), 4),
         ],
     )
     def test_matches_direct_classifier(self, family, n_max):
