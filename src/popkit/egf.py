@@ -2,8 +2,8 @@
 
 A TruncatedEgf holds the integer counts c(0..order) of a series
 sum c(n) x^n / n!.  The product is the binomial convolution: count n is
-one inner product of Pascal's row n (built from row n-1) with f and
-reversed g, in unbounded integers.  Disjoint-chain rules live here too:
+one inner product of half of Pascal's row n (built from row n-1) with the
+pair sums f(i)g(n-i) + f(n-i)g(i).  Disjoint-chain rules live here too:
 the quasi-avoider transform A* = (x-1)A + 1, the one-extra-chain
 composition C = A + B A*, its right fold over m chains (the Horner form
 A_1 + A_1*(A_2 + A_2*(... + A_(m-1)* A_m))), the closed form
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import comb
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -70,11 +69,15 @@ def egf_add(f: TruncatedEgf, g: TruncatedEgf) -> TruncatedEgf:
 
 
 def egf_mul(f: TruncatedEgf, g: TruncatedEgf) -> TruncatedEgf:
-    """Binomial convolution: one Pascal-row inner product per count."""
+    """Binomial convolution: terms i and n-i share C(n, i) = C(n, n-i)."""
     _check_orders(f, g)
+    a, b = f.counts, g.counts
     row, counts = [1], []
     for n in range(f.order + 1):
-        counts.append(sum(map(mul, map(mul, row, f.counts), g.counts[n::-1])))
+        h, m = (n + 1) // 2, n // 2
+        pairs = map(add, map(mul, a[:h], b[n:m:-1]), map(mul, b[:h], a[n:m:-1]))
+        c = sum(map(mul, row, pairs))
+        counts.append(c if n % 2 else c + row[m] * a[m] * b[m])
         row = [1, *map(add, row, row[1:]), 1]
     return TruncatedEgf(tuple(counts))
 
@@ -139,10 +142,11 @@ def chain_egf(word: tuple[int, ...], order: int, cap: int) -> TruncatedEgf:
         return egf_one(order)
     if m == 2:
         return egf_exp(order)
-    if m == 3:
-        return egf_from_counts(
-            [comb(2 * n, n) // (n + 1) for n in range(order + 1)]
-        )
+    if m == 3:  # Catalan numbers: (n + 2) C(n+1) = (4n + 2) C(n)
+        counts = [1]
+        for n in range(order):
+            counts.append(counts[n] * (4 * n + 2) // (n + 2))
+        return egf_from_counts(counts)
     seq = avoidance_sequence(dc_pop([word]), order, cap=cap)
     return egf_from_counts(seq.values)
 

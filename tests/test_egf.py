@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import cache, partial
 from math import comb
@@ -215,6 +216,20 @@ class TestProduct:
         series = dc_pop_egf([egf_module.chain_egf(w, 200, 12) for w in words])
         expected = dc_rule([chain_avoiders(len(w), 200) for w in words])
         assert series.counts == tuple(expected)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 400])
+    def test_length_three_chain_series_is_catalan(self, order):
+        # the ratio recurrence against the binomial formula of the oracle
+        series = egf_module.chain_egf((3, 1, 2), order, 12)
+        assert series.counts == tuple(catalan(order))
+
+    @pytest.mark.parametrize("word", ["[123|456|789]", "[1|32|4]", "[21|3|54]"])
+    def test_fold_is_symmetric_in_the_chains(self, word):
+        # every order puts other series in the f and g roles of egf_mul
+        chains = [egf_module.chain_egf(w, 120, 12) for w in parse_pop(f"dc:{word}").words]
+        expected = dc_pop_egf(chains).counts
+        for order in itertools.permutations(chains):
+            assert dc_pop_egf(list(order)).counts == expected
 
 
 class TestQuasiTransform:
