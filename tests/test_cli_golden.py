@@ -6,6 +6,7 @@ one included), JSON indentation and key order, and the order of
 the verify lines.  Inputs are kept small so the whole file runs fast.
 """
 
+import itertools
 import textwrap
 
 import pytest
@@ -123,6 +124,53 @@ CLASSIFY_JSON = (
     + "\n  ]\n}\n"
 )
 
+CB7_3 = ["classify", "--family", "cb:7:3", "--nmax", "5"]
+# Every member is longer than n_max, so all 35 share 0!..5!.  Only 7 of
+# the 19 orbit representatives are members; the rest are order duals.
+CB7_3_MEMBERS = [
+    "cb:7:{" + ",".join(map(str, a)) + "}"
+    for a in itertools.combinations(range(1, 8), 3)
+]
+CB7_3_REPS = [
+    "rel:7:{(1,2),(1,3),(1,4),(1,5),(6,2),(6,3),(6,4),(6,5),(7,2),(7,3),(7,4),(7,5)}",
+    "rel:7:{(1,2),(1,3),(1,4),(1,6),(5,2),(5,3),(5,4),(5,6),(7,2),(7,3),(7,4),(7,6)}",
+    "rel:7:{(1,2),(1,3),(1,4),(1,7),(5,2),(5,3),(5,4),(5,7),(6,2),(6,3),(6,4),(6,7)}",
+    "rel:7:{(1,2),(1,3),(1,4),(5,2),(5,3),(5,4),(6,2),(6,3),(6,4),(7,2),(7,3),(7,4)}",
+    "rel:7:{(1,2),(1,3),(1,5),(1,6),(4,2),(4,3),(4,5),(4,6),(7,2),(7,3),(7,5),(7,6)}",
+    "rel:7:{(1,2),(1,3),(1,5),(1,7),(4,2),(4,3),(4,5),(4,7),(6,2),(6,3),(6,5),(6,7)}",
+    "rel:7:{(1,2),(1,3),(1,5),(4,2),(4,3),(4,5),(6,2),(6,3),(6,5),(7,2),(7,3),(7,5)}",
+    "rel:7:{(1,2),(1,3),(1,6),(1,7),(4,2),(4,3),(4,6),(4,7),(5,2),(5,3),(5,6),(5,7)}",
+    "rel:7:{(1,2),(1,3),(1,6),(4,2),(4,3),(4,6),(5,2),(5,3),(5,6),(7,2),(7,3),(7,6)}",
+    "rel:7:{(1,2),(1,4),(1,5),(1,7),(3,2),(3,4),(3,5),(3,7),(6,2),(6,4),(6,5),(6,7)}",
+    "rel:7:{(1,2),(1,4),(1,5),(3,2),(3,4),(3,5),(6,2),(6,4),(6,5),(7,2),(7,4),(7,5)}",
+    "rel:7:{(1,2),(1,4),(1,6),(1,7),(3,2),(3,4),(3,6),(3,7),(5,2),(5,4),(5,6),(5,7)}",
+    "rel:7:{(1,2),(1,4),(1,6),(3,2),(3,4),(3,6),(5,2),(5,4),(5,6),(7,2),(7,4),(7,6)}",
+    "rel:7:{(1,2),(1,5),(1,6),(1,7),(3,2),(3,5),(3,6),(3,7),(4,2),(4,5),(4,6),(4,7)}",
+    "rel:7:{(1,2),(1,6),(1,7),(3,2),(3,6),(3,7),(4,2),(4,6),(4,7),(5,2),(5,6),(5,7)}",
+    "rel:7:{(1,3),(1,4),(1,5),(2,3),(2,4),(2,5),(6,3),(6,4),(6,5),(7,3),(7,4),(7,5)}",
+    "rel:7:{(1,3),(1,4),(1,6),(1,7),(2,3),(2,4),(2,6),(2,7),(5,3),(5,4),(5,6),(5,7)}",
+    "rel:7:{(1,3),(1,5),(1,6),(1,7),(2,3),(2,5),(2,6),(2,7),(4,3),(4,5),(4,6),(4,7)}",
+    "rel:7:{(1,4),(1,5),(1,6),(1,7),(2,4),(2,5),(2,6),(2,7),(3,4),(3,5),(3,6),(3,7)}",
+]
+CB7_3_PREFIX = ["1", "1", "2", "6", "24", "120"]
+CB7_3_TABLE = (
+    "family cb:7:3: 1 classes by a(0..5)\n"
+    "note: equal counting prefixes are evidence of Wilf-equivalence, not proof\n"
+    "class 1 (35 members): 1,1,2,6,24,120\n"
+    "  members: " + " ".join(CB7_3_MEMBERS) + "\n"
+    "  orbit representatives: " + " ".join(CB7_3_REPS) + "\n"
+)
+CB7_3_JSON = (
+    "{\n"
+    '  "family": "cb:7:3",\n'
+    '  "nmax": 5,\n'
+    '  "caveat": "equal counting prefixes are evidence of Wilf-equivalence, '
+    'not proof",\n'
+    '  "classes": [\n'
+    + classify_json_class(CB7_3_PREFIX, 35, CB7_3_MEMBERS, CB7_3_REPS)
+    + "\n  ]\n}\n"
+)
+
 PARSE_JSON = (
     text(
         """
@@ -229,6 +277,8 @@ GOLDEN = {
     "series-csv": (SERIES + ["--format", "csv"], 0, values_csv(DC_12_34)),
     "classify-table": (CLASSIFY, 0, CLASSIFY_TABLE),
     "classify-json": (CLASSIFY + ["--format", "json"], 0, CLASSIFY_JSON),
+    "classify-wide-table": (CB7_3, 0, CB7_3_TABLE),
+    "classify-wide-json": (CB7_3 + ["--format", "json"], 0, CB7_3_JSON),
     "verify-match": (
         ["verify", "--theorem", "n-class3", "--pattern", "n:3142", "--nmax", "6"],
         0,
