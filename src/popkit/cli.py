@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import itertools
@@ -99,7 +100,12 @@ def _sequence_views(
     Each value becomes text once; the lines and rows are generated only
     when --format asks for them.
     """
-    texts = [str(v) for v in values]
+    try:
+        texts = [str(v) for v in values]
+    except ValueError:
+        # str refuses ints above the interpreter's digit limit
+        # (sys.get_int_max_str_digits); Decimal's exact text has none.
+        texts = [str(decimal.Decimal(v)) for v in values]
     width = len(str(len(texts) - 1))
     lines = (f"{n:>{width}}  {t}" for n, t in enumerate(texts))
     rows = itertools.chain([("n", "value")], enumerate(texts))
@@ -178,9 +184,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "prefix": [str(v) for v in cls.prefix],
             "size": cls.size,
             "members": list(cls.member_names),
-            "orbit_representatives": [
-                poset_text(p) for p in cls.orbit_representatives
-            ],
+            "orbit_representatives": list(cls.representative_names),
         }
         for cls in report.classes
     ]

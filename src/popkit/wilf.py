@@ -16,9 +16,11 @@ from typing import Sequence
 
 from .counting import avoidance_sequence
 from .errors import InvalidInputError
-from .notation import CbSpec, NSpec, PopSpec, build_pop, poset_text, render_pop
+from .notation import CbSpec, NSpec, PopSpec, _rel_text, build_pop, render_pop
 from .perms import DEFAULT_CAP, _check_int
-from .posets import PatternFamily, Poset, label_complement, vertical_flip
+from .posets import (
+    Pair, PatternFamily, Poset, _trusted, label_complement, vertical_flip,
+)
 
 DEFAULT_NMAX = 9
 
@@ -38,14 +40,34 @@ def symmetry_orbit(p: Poset) -> frozenset[Poset]:
     return frozenset((p, c, vertical_flip(p), vertical_flip(c)))
 
 
+def _complement_pairs(k: int, pairs: list[Pair]) -> list[Pair]:
+    """Label complement of a sorted pair list, still sorted: x -> k+1-x
+    reverses the order of the labels, so it reverses the list's order."""
+    return [(k + 1 - a, k + 1 - b) for a, b in reversed(pairs)]
+
+
+def _other_images(k: int, pairs: list[Pair]) -> tuple[list[Pair], ...]:
+    """Sorted relation lists of the label complement, the order dual and
+    the dual's complement of the poset whose sorted list is pairs.  The
+    complement of either orbit half is its list mapped and reversed, so
+    the order dual costs the only sort."""
+    dual = sorted((b, a) for a, b in pairs)
+    return _complement_pairs(k, pairs), dual, _complement_pairs(k, dual)
+
+
 @dataclass(frozen=True)
 class WilfClass:
-    """One empirical class: the shared counts and who realizes them."""
+    """One empirical class: the shared counts and who realizes them.
+
+    representative_names[i] is the canonical text of
+    orbit_representatives[i].
+    """
 
     prefix: tuple[int, ...]
     members: tuple[Poset, ...]
     member_names: tuple[str, ...]
     orbit_representatives: tuple[Poset, ...]
+    representative_names: tuple[str, ...]
 
     @property
     def size(self) -> int:
@@ -68,41 +90,62 @@ def classify(
     """Group the family by exact counts a(0..n_max).
 
     Counts are computed once per symmetry orbit, so provably equivalent
-    members can never be separated.  Classes are ordered by prefix,
-    members and orbit representatives by canonical text; the report is
-    deterministic.
+    members can never be separated.  An orbit's representative is the
+    image with the least canonical text.  Each member's relations are
+    sorted once; a member in an orbit not yet seen adds its order dual,
+    sorted once more, and the texts of all four images come from those
+    two lists.  A representative that is not a member is built from its
+    list.  Classes are ordered by prefix, members and orbit
+    representatives by canonical text; the report is deterministic.
     """
-    names = family.display_names or tuple(
-        poset_text(p) for p in family.members
-    )
-
-    rep_of: dict[Poset, Poset] = {}
-    rep_text: dict[Poset, str] = {}
-    prefix_of: dict[Poset, tuple[int, ...]] = {}
+    k = family.members[0].k
+    texts = []
+    orbit_of: dict[str, int] = {}  # image text -> orbit number
+    rep_texts: list[str] = []
+    rep_pairs: list[list[Pair]] = []
+    reps: dict[int, Poset] = {}  # orbit -> its representative, if a member
+    prefixes: list[tuple[int, ...]] = []
+    member_orbits = []
     for p in family.members:
-        if p not in rep_of:
-            text = {q: poset_text(q) for q in symmetry_orbit(p)}
-            rep = min(text, key=text.get)
-            rep_of.update(dict.fromkeys(text, rep))
-            rep_text[rep] = text[rep]
-            prefix_of[rep] = tuple(avoidance_sequence(p, n_max, cap=cap).values)
+        pairs = sorted(p.relations)
+        text = _rel_text(k, pairs)
+        orbit = orbit_of.get(text)
+        if orbit is None:
+            orbit = len(rep_texts)
+            images = {text: pairs}
+            for q in _other_images(k, pairs):
+                images[_rel_text(k, q)] = q
+            rep = min(images)
+            orbit_of.update(dict.fromkeys(images, orbit))
+            rep_texts.append(rep)
+            rep_pairs.append(images[rep])
+            prefixes.append(avoidance_sequence(p, n_max, cap=cap).values)
+        if text == rep_texts[orbit]:
+            reps[orbit] = p
+        texts.append(text)
+        member_orbits.append(orbit)
+    names = family.display_names or texts
 
     grouped: dict[tuple[int, ...], list[int]] = {}
-    for idx, p in enumerate(family.members):
-        grouped.setdefault(prefix_of[rep_of[p]], []).append(idx)
+    for idx, orbit in enumerate(member_orbits):
+        grouped.setdefault(prefixes[orbit], []).append(idx)
 
     classes = []
     for prefix in sorted(grouped):
         ordered = sorted(grouped[prefix], key=lambda i: names[i])
-        members = tuple(family.members[i] for i in ordered)
+        orbits = sorted(
+            {member_orbits[i] for i in ordered}, key=rep_texts.__getitem__
+        )
         classes.append(
             WilfClass(
                 prefix=prefix,
-                members=members,
+                members=tuple(family.members[i] for i in ordered),
                 member_names=tuple(names[i] for i in ordered),
                 orbit_representatives=tuple(
-                    sorted({rep_of[p] for p in members}, key=rep_text.get)
+                    reps[o] if o in reps else _trusted(k, rep_pairs[o])
+                    for o in orbits
                 ),
+                representative_names=tuple(rep_texts[o] for o in orbits),
             )
         )
     return WilfReport(family=family.name, n_max=n_max, classes=tuple(classes))

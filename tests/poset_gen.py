@@ -1,15 +1,16 @@
-"""The one random-poset generator of the test suite.
+"""The random-poset generators of the test suite.
 
-The test modules import it; pytest does not collect it.  Every poset is
-acyclic by construction, since each kept relation follows one shuffled
-linear extension of the labels.
+The test modules import it; pytest does not collect it.  Every random
+poset is acyclic by construction, since each kept relation follows one
+shuffled linear extension of the labels.  cb_strategy draws complete
+bipartite posets, the members of the wide families.
 """
 
 import random
 
 from hypothesis import strategies as st
 
-from popkit import from_relations
+from popkit import complete_bipartite, from_relations
 
 
 def random_poset(rng, max_k):
@@ -37,4 +38,14 @@ def poset_strategy(max_k):
     """random_poset drawn by hypothesis, which shrinks it like any draw."""
     return st.builds(
         random_poset, st.randoms(use_true_random=False), st.just(max_k)
+    )
+
+
+def cb_strategy(max_k):
+    """complete_bipartite(k, A) for k in 2..max_k and a nonempty proper
+    upper set A, drawn by hypothesis."""
+    return st.integers(2, max_k).flatmap(
+        lambda k: st.sets(st.integers(1, k), min_size=1, max_size=k - 1).map(
+            lambda a_set: complete_bipartite(k, a_set)
+        )
     )

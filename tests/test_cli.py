@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import sys
+from math import factorial
 
 import pytest
 
@@ -106,6 +108,26 @@ class TestSeq:
             capsys, "seq", "--pattern", "chain:12", "--k", "3", "--nmax", "5"
         )
         assert code == 2
+
+    def test_value_past_the_int_str_digit_limit(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "seq", "--theorem", "B1", "--k", "40", "--nmax", "3000",
+            "--format", "csv",
+        )
+        assert code == 0
+        last = factorial(39) * 39 ** (3000 - 39)  # (k-1)! (k-1)^(n-k+1)
+        # Lift the interpreter's int-to-str digit limit only to print it.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            want = str(last)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert len(want) > 4300
+        assert out.endswith(f"\r\n3000,{want}\r\n")
 
     @pytest.mark.parametrize(
         "theorem, gf, oracle",

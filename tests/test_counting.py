@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import popkit.counting
 from dfs_oracle import dfs_avoider_counts
 from oracles import catalan, naive_avoider_counts
-from poset_gen import poset_strategy, seeded_posets
+from poset_gen import cb_strategy, poset_strategy, seeded_posets
 from popkit import (
     CountSequence,
     InvalidInputError,
@@ -152,6 +152,13 @@ class TestAvoidanceSequence:
         # no code with the state walk
         got = list(avoidance_sequence(p, n_max).values)
         assert got == dfs_avoider_counts(p, n_max), p
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(poset_strategy(12), cb_strategy(12)), st.data())
+    def test_pattern_longer_than_n_max_counts_factorials(self, p, data):
+        n_max = data.draw(st.integers(0, p.k - 1))
+        values = avoidance_sequence(p, n_max).values
+        assert values == tuple(factorial(n) for n in range(n_max + 1))
 
     def test_engine_imports_nothing_from_the_matcher(self):
         # counting builds its own relation table, so the matcher is not

@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from poset_gen import seeded_posets
+from poset_gen import cb_strategy, poset_strategy, seeded_posets
 from popkit import (
     InvalidInputError,
     PatternFamily,
@@ -23,6 +24,10 @@ from popkit import (
     vertical_flip,
 )
 from popkit.notation import CbSpec, NSpec
+from popkit.wilf import _other_images
+
+# Random and complete bipartite posets with up to 12 labels, so two-digit ones too.
+WIDE = st.one_of(poset_strategy(12), cb_strategy(12))
 
 
 def frontier_orbit(p):
@@ -122,6 +127,16 @@ class TestSymmetryOrbit:
         )
         for p in posets:
             assert symmetry_orbit(p) == frontier_orbit(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(WIDE)
+    def test_sorted_lists_of_the_four_images(self, p):
+        c = label_complement(p)
+        images = (p, c, vertical_flip(p), vertical_flip(c))
+        pairs = sorted(p.relations)
+        assert [pairs, *_other_images(p.k, pairs)] == [
+            sorted(q.relations) for q in images
+        ]
 
     def test_orbit_members_share_counts(self):
         p = n_pattern((3, 1, 2, 4))
@@ -251,6 +266,8 @@ class TestClassify:
             ),
             # two-digit labels: text order and numeric order differ
             (cb_family(10, 2), 4),
+            # longer than n_max; representatives are order duals outside
+            (cb_family(9, 4), 5),
         ],
     )
     def test_matches_direct_classifier(self, family, n_max):
@@ -264,4 +281,16 @@ class TestClassify:
             reps = {min(symmetry_orbit(m), key=poset_text) for m in cls.members}
             assert cls.orbit_representatives == tuple(
                 sorted(reps, key=poset_text)
+            )
+            assert cls.representative_names == tuple(
+                map(poset_text, cls.orbit_representatives)
+            )
+
+    @settings(max_examples=50, deadline=None)
+    @given(WIDE, st.integers(0, 5))
+    def test_representative_names_are_their_texts(self, p, n_max):
+        family = PatternFamily("drawn", (p, label_complement(p)))
+        for cls in classify(family, n_max=n_max).classes:
+            assert cls.representative_names == tuple(
+                map(poset_text, cls.orbit_representatives)
             )
