@@ -92,6 +92,16 @@ def _output(
     return code
 
 
+def _texts(values: Sequence[int]) -> list[str]:
+    """Decimal text of each value, however many digits it has."""
+    try:
+        return [str(v) for v in values]
+    except ValueError:
+        # str refuses ints above the interpreter's digit limit
+        # (sys.get_int_max_str_digits); Decimal's exact text has none.
+        return [str(decimal.Decimal(v)) for v in values]
+
+
 def _sequence_views(
     identity: dict[str, object], values: Sequence[int]
 ) -> tuple[dict[str, object], Iterator[str], Iterator[Sequence[object]]]:
@@ -100,12 +110,7 @@ def _sequence_views(
     Each value becomes text once; the lines and rows are generated only
     when --format asks for them.
     """
-    try:
-        texts = [str(v) for v in values]
-    except ValueError:
-        # str refuses ints above the interpreter's digit limit
-        # (sys.get_int_max_str_digits); Decimal's exact text has none.
-        texts = [str(decimal.Decimal(v)) for v in values]
+    texts = _texts(values)
     width = len(str(len(texts) - 1))
     lines = (f"{n:>{width}}  {t}" for n, t in enumerate(texts))
     rows = itertools.chain([("n", "value")], enumerate(texts))
@@ -116,7 +121,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     spec = parse_pop(args.pattern)
     count = count_quasi_avoiders if args.quasi else count_avoiders
-    value = str(count(build_pop(spec), args.n, cap=cap))
+    [value] = _texts([count(build_pop(spec), args.n, cap=cap)])
     pattern = render_pop(spec)
     payload = {"pattern": pattern, "n": args.n, "quasi": args.quasi, "count": value}
     rows = [
@@ -181,7 +186,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     report = classify(_parse_family(args.family), n_max=args.nmax, cap=cap)
     classes = [
         {
-            "prefix": [str(v) for v in cls.prefix],
+            "prefix": _texts(cls.prefix),
             "size": cls.size,
             "members": list(cls.member_names),
             "orbit_representatives": list(cls.representative_names),
@@ -215,8 +220,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     pairs = enumerate(zip(theorem_seq.values, brute_seq.values))
     first_bad = next((n for n, (a, b) in pairs if a != b), None)
     lines = [
-        f"theorem {theorem_seq.pattern}: " + ",".join(map(str, theorem_seq.values)),
-        f"brute force {render_pop(spec)}: " + ",".join(map(str, brute_seq.values)),
+        f"theorem {theorem_seq.pattern}: " + ",".join(_texts(theorem_seq.values)),
+        f"brute force {render_pop(spec)}: " + ",".join(_texts(brute_seq.values)),
         f"match through n={args.nmax}"
         if first_bad is None
         else f"MISMATCH at n={first_bad}",

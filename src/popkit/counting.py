@@ -37,10 +37,9 @@ mirror this.  Three prunings keep the states few:
    counted from the bitmask of ranks that complete p.
 
 A state with no summary left is empty, and its m + 1 children are all
-avoiders in the empty state again.  So once a level holds only the
-empty state, a(m) = m a(m-1) for every later m and the walk stops.  By
-pruning 2 the first level of a pattern longer than n_max is already
-that level, so such a pattern costs no walk at all: a(m) = m!.
+avoiders in the empty state again.  By pruning 2 the first level of a
+pattern longer than n_max holds only the empty state, so such a pattern
+costs no walk at all: a(m) = m!.
 
 The walk holds one level and the level it is building, nothing more.
 Within a level the summaries are numbered and a state is a bitmask over
@@ -129,19 +128,11 @@ def _avoider_counts(p: Poset, n_max: int) -> list[int]:
             "the empty pattern occurs in every permutation"
         )
     counts = [1] + [0] * n_max
-    # Pruning 2 leaves a pattern longer than n_max only the empty state.
-    m = _walk(p, n_max, counts) if p.k <= n_max else 0
-    # Below n_max, level m holds only the empty state: no summary is
-    # live, so each prefix has m + 1 children, all in the empty state.
-    for n in range(m + 1, n_max + 1):
-        counts[n] = counts[n - 1] * n
-    return counts
-
-
-def _walk(p: Poset, n_max: int, counts: list[int]) -> int:
-    """Fill counts[1..] level by level, for a pattern no longer than
-    n_max; stop at the first level that holds only the empty state and
-    return its length (n_max if none does)."""
+    if p.k > n_max:
+        # Pruning 2 leaves only the empty state: a(m) = m!.
+        for n in range(1, n_max + 1):
+            counts[n] = counts[n - 1] * n
+        return counts
     k = p.k
     named = sorted({s for pair in p.relations for s in pair})
     index = {s: i for i, s in enumerate(named)}
@@ -189,8 +180,6 @@ def _walk(p: Poset, n_max: int, counts: list[int]) -> int:
     summaries = [(0, (0,) * len(named), (1,) * len(named))]
     level = {1: 1}
     for m in range(n_max):
-        if level.keys() == {0}:
-            return m
         # A child summary needs k - j more entries; n_max - m - 1 remain.
         j_min = k - (n_max - m - 1)
         ids: dict[tuple, int] = {}
@@ -256,7 +245,7 @@ def _walk(p: Poset, n_max: int, counts: list[int]) -> int:
                 children[child] = children.get(child, 0) + count
         level = children
         counts[m + 1] = sum(level.values())
-    return n_max
+    return counts
 
 
 def count_avoiders(p: Poset, n: int, cap: int = DEFAULT_CAP) -> int:

@@ -90,62 +90,53 @@ def classify(
     """Group the family by exact counts a(0..n_max).
 
     Counts are computed once per symmetry orbit, so provably equivalent
-    members can never be separated.  An orbit's representative is the
-    image with the least canonical text.  Each member's relations are
-    sorted once; a member in an orbit not yet seen adds its order dual,
-    sorted once more, and the texts of all four images come from those
-    two lists.  A representative that is not a member is built from its
-    list.  Classes are ordered by prefix, members and orbit
-    representatives by canonical text; the report is deterministic.
+    members can never be separated.  An orbit is keyed by its
+    representative, the image with the least canonical text.  Each
+    member's relations are sorted once; a member in an orbit not yet
+    seen adds its order dual, sorted once more, and the texts of all
+    four images come from those two lists.  A representative that is
+    not a member is built from its list.  Classes are ordered by prefix,
+    members and orbit representatives by canonical text; the report is
+    deterministic.
     """
     k = family.members[0].k
     texts = []
-    orbit_of: dict[str, int] = {}  # image text -> orbit number
-    rep_texts: list[str] = []
-    rep_pairs: list[list[Pair]] = []
-    reps: dict[int, Poset] = {}  # orbit -> its representative, if a member
-    prefixes: list[tuple[int, ...]] = []
-    member_orbits = []
-    for p in family.members:
+    rep_of: dict[str, str] = {}  # image text -> its representative's text
+    orbits: dict[str, tuple[list[Pair], tuple[int, ...]]] = {}  # pairs, prefix
+    grouped: dict[tuple[int, ...], list[int]] = {}  # prefix -> member indices
+    for i, p in enumerate(family.members):
         pairs = sorted(p.relations)
         text = _rel_text(k, pairs)
-        orbit = orbit_of.get(text)
-        if orbit is None:
-            orbit = len(rep_texts)
+        rep = rep_of.get(text)
+        if rep is None:
             images = {text: pairs}
             for q in _other_images(k, pairs):
                 images[_rel_text(k, q)] = q
             rep = min(images)
-            orbit_of.update(dict.fromkeys(images, orbit))
-            rep_texts.append(rep)
-            rep_pairs.append(images[rep])
-            prefixes.append(avoidance_sequence(p, n_max, cap=cap).values)
-        if text == rep_texts[orbit]:
-            reps[orbit] = p
+            rep_of.update(dict.fromkeys(images, rep))
+            orbits[rep] = images[rep], avoidance_sequence(p, n_max, cap=cap).values
         texts.append(text)
-        member_orbits.append(orbit)
+        grouped.setdefault(orbits[rep][1], []).append(i)
     names = family.display_names or texts
-
-    grouped: dict[tuple[int, ...], list[int]] = {}
-    for idx, orbit in enumerate(member_orbits):
-        grouped.setdefault(prefixes[orbit], []).append(idx)
+    member_of = dict(zip(texts, family.members))
+    reps_of: dict[tuple[int, ...], list[str]] = {}  # prefix -> representatives
+    for rep, (_, prefix) in orbits.items():
+        reps_of.setdefault(prefix, []).append(rep)
 
     classes = []
     for prefix in sorted(grouped):
         ordered = sorted(grouped[prefix], key=lambda i: names[i])
-        orbits = sorted(
-            {member_orbits[i] for i in ordered}, key=rep_texts.__getitem__
-        )
+        reps = sorted(reps_of[prefix])
         classes.append(
             WilfClass(
                 prefix=prefix,
                 members=tuple(family.members[i] for i in ordered),
                 member_names=tuple(names[i] for i in ordered),
                 orbit_representatives=tuple(
-                    reps[o] if o in reps else _trusted(k, rep_pairs[o])
-                    for o in orbits
+                    member_of[r] if r in member_of else _trusted(k, orbits[r][0])
+                    for r in reps
                 ),
-                representative_names=tuple(rep_texts[o] for o in orbits),
+                representative_names=tuple(reps),
             )
         )
     return WilfReport(family=family.name, n_max=n_max, classes=tuple(classes))

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -22,6 +23,20 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def int_str_digits(limit):
+    """Set the interpreter's int-to-str digit limit (0 for none) inside
+    the block only; interpreters older than the limit have none to set."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 class TestCount:
@@ -64,6 +79,17 @@ class TestCount:
         )
         assert code == 0
         assert out == "6\n"
+
+    def test_count_past_the_int_str_digit_limit(self, capsys):
+        # 399! has 867 digits, past the least limit an interpreter takes
+        with int_str_digits(640):
+            code, out, err = run(
+                capsys,
+                "count", "--pattern", "rel:400:{}", "--n", "399", "--cap", "400",
+            )
+        assert (code, err) == (0, "")
+        with int_str_digits(0):
+            assert out == f"{factorial(399)}\n"
 
 
 class TestSeq:
@@ -117,15 +143,8 @@ class TestSeq:
         )
         assert code == 0
         last = factorial(39) * 39 ** (3000 - 39)  # (k-1)! (k-1)^(n-k+1)
-        # Lift the interpreter's int-to-str digit limit only to print it.
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit:
-            sys.set_int_max_str_digits(0)
-        try:
+        with int_str_digits(0):  # lift the limit only to print it
             want = str(last)
-        finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
         assert len(want) > 4300
         assert out.endswith(f"\r\n3000,{want}\r\n")
 
@@ -226,6 +245,20 @@ class TestClassify:
         assert out == ""
         assert err == "popkit: negative upper set size: -1\n"
 
+    def test_prefix_past_the_int_str_digit_limit(self, capsys):
+        # a pattern of 331 labels: a(330) = 330!, 684 digits
+        with int_str_digits(640):
+            code, out, err = run(
+                capsys,
+                "classify", "--family", "cb:331:330", "--nmax", "330",
+                "--cap", "400", "--format", "json",
+            )
+        assert (code, err) == (0, "")
+        [cls] = json.loads(out)["classes"]
+        assert cls["size"] == 331
+        with int_str_digits(0):
+            assert cls["prefix"] == [str(factorial(n)) for n in range(331)]
+
 
 class TestVerify:
     def test_matching_theorem_exits_zero(self, capsys):
@@ -254,6 +287,22 @@ class TestVerify:
         )
         assert code == 1
         assert "theorem" in out and "brute force" in out
+
+    def test_match_past_the_int_str_digit_limit(self, capsys):
+        # below n = k both sides are n!, and 399! has 867 digits
+        with int_str_digits(640):
+            code, out, err = run(
+                capsys,
+                "verify", "--theorem", "B1", "--k", "400",
+                "--pattern", "cb:400:{1}", "--nmax", "399", "--cap", "400",
+            )
+        assert (code, err) == (0, "")
+        with int_str_digits(0):
+            values = ",".join(str(factorial(n)) for n in range(400))
+        theorem, brute, verdict = out.splitlines()
+        assert theorem.endswith(": " + values)
+        assert brute == "brute force cb:400:{1}: " + values
+        assert verdict == "match through n=399"
 
 
 class TestParse:

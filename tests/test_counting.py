@@ -1,4 +1,5 @@
 import ast
+from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
@@ -17,10 +18,12 @@ from popkit import (
     avoidance_sequence,
     avoids,
     chain,
+    chain_compose,
     complete_bipartite,
     count_avoiders,
     count_quasi_avoiders,
     dc_pop,
+    egf_from_counts,
     from_relations,
     label_complement,
     n_pattern,
@@ -212,6 +215,65 @@ class TestCapLength:
     def test_pattern_longer_than_the_permutations(self):
         seq = avoidance_sequence(complete_bipartite(12, {1, 2, 3, 4, 5}), 5)
         assert seq.values == tuple(factorial(n) for n in range(6))
+
+
+def gessel_1234(n):
+    """Gessel's number of 1234-avoiders of length n >= 0."""
+    return 2 * sum(
+        Fraction(
+            comb(2 * k, k) * comb(n, k) ** 2 * (3 * k * k + 2 * k + 1 - n - 2 * n * k),
+            (k + 1) ** 2 * (k + 2) * (n - k + 1),
+        )
+        for k in range(n + 1)
+    )
+
+
+def bona_1342(n):
+    """Bona's number of 1342-avoiders of length n >= 1."""
+    return Fraction((-1) ** (n - 1) * (7 * n * n - 3 * n - 2), 2) + 3 * sum(
+        Fraction(
+            (-1) ** (n - i) * 2 ** (i + 1) * factorial(2 * i - 4),
+            factorial(i) * factorial(i - 2),
+        )
+        * comb(n - i + 2, 2)
+        for i in range(2, n + 1)
+    )
+
+
+def block_fold(p1, p2):
+    """p1 followed by p2: p2's labels shifted past p1's, and no relation
+    between the two blocks."""
+    shifted = [(a + p1.k, b + p1.k) for a, b in p2.relations]
+    return from_relations(p1.k + p2.k, [*p1.relations, *shifted])
+
+
+class TestPastTheGates:
+    """Exact counts at n = 11-14, past the gates that search every
+    permutation (n <= 8), against closed forms and the block-fold rule."""
+
+    def test_1234_equals_gessel_through_14(self):
+        want = [gessel_1234(n) for n in range(15)]
+        assert all(v.denominator == 1 for v in want)
+        seq = avoidance_sequence(chain((1, 2, 3, 4)), 14, cap=14)
+        assert list(seq.values) == want
+
+    # 2413 by Stankova's Wilf-equivalence 1342 ~ 2413
+    @pytest.mark.parametrize("word", [(1, 3, 4, 2), (2, 4, 1, 3)])
+    def test_1342_class_equals_bona_through_11(self, word):
+        want = [1] + [bona_1342(n) for n in range(1, 12)]
+        assert all(v.denominator == 1 for v in want)
+        assert list(avoidance_sequence(chain(word), 11).values) == want
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_block_fold_equals_chain_compose(self, seed):
+        # A permutation avoids P1P2 when it avoids P1 or the entries after
+        # its shortest prefix that contains P1 avoid P2: C = A1 + A2 A1*.
+        p1, p2 = seeded_posets(2, seed, 3)
+        a1, a2 = (egf_from_counts(avoidance_sequence(p, 11).values) for p in (p1, p2))
+        want = chain_compose(a1, a2).counts
+        assert avoidance_sequence(block_fold(p1, p2), 11).values == want
+        # A* = 1 + (x - 1) A as e.g.f.s, so C is symmetric in A1, A2.
+        assert avoidance_sequence(block_fold(p2, p1), 11).values == want
 
 
 class TestCountQuasiAvoiders:
