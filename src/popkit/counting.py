@@ -43,8 +43,13 @@ costs no walk at all: a(m) = m!.
 
 The walk holds one level and the level it is building, nothing more.
 Within a level the summaries are numbered and a state is a bitmask over
-them, so each state costs one integer next to its count, and the moves
-of each summary are worked out once per level, not once per state.
+them, so each state costs one integer next to its count.  The moves of
+each summary are worked out once per level, not once per state, and
+once per rank interval, not once per rank: every rank between two
+consecutive bounds of a summary shifts its bounds alike.  Pruning 1 is
+computed from per-coordinate threshold masks, the members whose lower
+bound is at least v and those whose upper bound is at most v, so it
+costs a few big-int ANDs per summary, not a comparison per pair.
 
 Quasi-avoiders (p occurs, but not in the one-shorter prefix) come from
 the same counts: a*(n) = n a(n-1) - a(n).
@@ -114,11 +119,33 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _inside(a: tuple, b: tuple) -> bool:
-    """True when summary a's windows fit, one by one, inside b's."""
-    return all(x >= y for x, y in zip(a[1], b[1])) and all(
-        x <= y for x, y in zip(a[2], b[2])
-    )
+def _covers(summaries: list, group: list[int], dims: int) -> dict[int, int]:
+    """For each summary a of group (indices into summaries, all with the
+    same j), the bitmask of the other members whose windows fit, one by
+    one, inside a's.
+
+    Per coordinate c, at_least[v] holds the members whose lower bound is
+    at least v, and at_most[v] those whose upper bound is at most v; b
+    fits inside a when it is in at_least[lows_a[c]] & at_most[highs_a[c]]
+    at every c.  That takes O(|group| dims) big-int ANDs, not |group|^2
+    comparisons of tuples.
+    """
+    masks = dict.fromkeys(group, sum(1 << a for a in group))
+    for c in range(dims):
+        at_least, at_most = {}, {}
+        for a in group:
+            _, lows, highs = summaries[a]
+            at_least[lows[c]] = at_least.get(lows[c], 0) | 1 << a
+            at_most[highs[c]] = at_most.get(highs[c], 0) | 1 << a
+        # Suffix ORs over the lower bounds, prefix ORs over the upper.
+        for table, descending in ((at_least, True), (at_most, False)):
+            acc = 0
+            for v in sorted(table, reverse=descending):
+                acc = table[v] = acc | table[v]
+        for a in group:
+            _, lows, highs = summaries[a]
+            masks[a] &= at_least[lows[c]] & at_most[highs[c]]
+    return {a: mask & ~(1 << a) for a, mask in masks.items()}
 
 
 def _avoider_counts(p: Poset, n_max: int) -> list[int]:
@@ -138,42 +165,13 @@ def _avoider_counts(p: Poset, n_max: int) -> list[int]:
     index = {s: i for i, s in enumerate(named)}
     # The later slots whose windows a value at slot s tightens: from
     # below when s is below them, from above when they are below s.
-    raises: dict[int, list[int]] = {s: [] for s in named}
-    lowers: dict[int, list[int]] = {s: [] for s in named}
+    raises: list[list[int]] = [[] for _ in range(k + 1)]
+    lowers: list[list[int]] = [[] for _ in range(k + 1)]
     for a, b in p.relations:
         if a < b:
             raises[a].append(index[b])
         else:
             lowers[b].append(index[a])
-
-    def step(summary, m, r, j_min):
-        """What one summary of a length-m prefix leaves when rank r is
-        appended: itself shifted, and its extension to the next slot if
-        that slot's window holds r.  None is a dropped summary, True an
-        extension that completes p.  Tightening the later windows by r
-        never empties one, since p is closed (module docstring)."""
-        j, lows, highs = summary
-        lows_r = tuple(b + (b >= r) for b in lows)
-        highs_r = tuple(b + (b >= r) for b in highs)
-        kept = (j, lows_r, highs_r) if j >= j_min else None
-        s = j + 1
-        i = index.get(s)
-        lo, hi = (0, m + 1) if i is None else (lows[i], highs[i])
-        if not lo < r <= hi:
-            return kept, None
-        if s == k:
-            return kept, True
-        if s < j_min:
-            return kept, None
-        if i is None:
-            return kept, (s, lows_r, highs_r)
-        lows_s, highs_s = list(lows_r), list(highs_r)
-        lows_s[i] = highs_s[i] = 0
-        for t in raises[s]:
-            lows_s[t] = max(lows_s[t], r)
-        for t in lowers[s]:
-            highs_s[t] = min(highs_s[t], r)
-        return kept, (s, tuple(lows_s), tuple(highs_s))
 
     # One level: its summaries, and the number of prefixes of each state,
     # a bitmask over those summaries.
@@ -185,18 +183,38 @@ def _avoider_counts(p: Poset, n_max: int) -> list[int]:
         ids: dict[tuple, int] = {}
         forbids = []  # bit r: appending rank r completes p
         moves = []  # per rank: the child summaries, as a bitmask
-        for summary in summaries:
-            forbid = 0
-            row = []
-            for r in range(1, m + 2):
-                kids = 0
-                for child in step(summary, m, r, j_min):
-                    if child is True:
-                        forbid |= 1 << r
-                    elif child is not None:
-                        kids |= 1 << ids.setdefault(child, len(ids))
-                row.append(kids)
-            forbids.append(forbid)
+        for j, lows, highs in summaries:
+            # Slot j + 1 takes a rank in (lo, hi]: there it completes p,
+            # or extends the summary if the walk can still complete p.
+            s = j + 1
+            i = index.get(s)
+            lo, hi = (0, m + 1) if i is None else (lows[i], highs[i])
+            forbids.append((1 << hi + 1) - (1 << lo + 1) if s == k else 0)
+            row, prev = [], 0
+            for edge in sorted({b for b in lows + highs if b} | {m + 1}):
+                # Every rank r in (prev, edge] shifts the same bounds,
+                # and lies in (lo, hi] exactly when edge does.
+                lows_r = tuple(b + (b >= edge) for b in lows)
+                highs_r = tuple(b + (b >= edge) for b in highs)
+                kept = 0
+                if j >= j_min:
+                    kept = 1 << ids.setdefault((j, lows_r, highs_r), len(ids))
+                if j_min <= s < k and lo < edge <= hi:
+                    # The new entry, of value r, tightens the later
+                    # windows; none empties, since p is closed (docstring).
+                    lows_s, highs_s = list(lows_r), list(highs_r)
+                    if i is not None:
+                        lows_s[i] = highs_s[i] = 0
+                    for r in range(prev + 1, edge + 1):
+                        for t in raises[s]:
+                            lows_s[t] = max(lows_r[t], r)
+                        for t in lowers[s]:
+                            highs_s[t] = min(highs_r[t], r)
+                        child = (s, tuple(lows_s), tuple(highs_s))
+                        row.append(kept | 1 << ids.setdefault(child, len(ids)))
+                else:
+                    row += [kept] * (edge - prev)
+                prev = edge
             moves.append(row)
         if m == n_max - 1:
             # The last level is only counted, never built.
@@ -211,12 +229,9 @@ def _avoider_counts(p: Poset, n_max: int) -> list[int]:
         by_j: dict[int, list[int]] = {}
         for i, summary in enumerate(summaries):
             by_j.setdefault(summary[0], []).append(i)
-        covers = [0] * len(summaries)
+        covers: dict[int, int] = {}
         for group in by_j.values():
-            for a in group:
-                for b in group:
-                    if a != b and _inside(summaries[b], summaries[a]):
-                        covers[a] |= 1 << b
+            covers.update(_covers(summaries, group, len(named)))
         # Pair each move with the summaries its own summaries cover.
         redundant: dict[int, int] = {}
         for row in moves:

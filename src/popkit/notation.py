@@ -129,11 +129,16 @@ class _Cursor:
     def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if self.pos == start:
             self.fail("expected a number", ("digit",))
-        return int(self.text[start : self.pos])
+        digits = self.text[start : self.pos]
+        try:
+            return int(digits)
+        except ValueError:  # more digits than the int-to-str limit
+            self.pos = start
+            self.fail(f"number too long ({len(digits)} digits)")
 
     def parse_word(self) -> tuple[int, ...]:
         """Letters: single digits 1-9, or (NN) for larger labels."""
@@ -141,7 +146,7 @@ class _Cursor:
         letters = []
         while True:
             c = self.peek()
-            if c.isdigit():
+            if "0" <= c <= "9":
                 if c == "0":
                     self.fail("word letters start at 1", ("digit 1-9", "'('"))
                 letters.append(int(c))

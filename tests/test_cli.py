@@ -373,6 +373,28 @@ class TestCapsAndErrors:
         assert code == 2
         assert "POPKIT_CAP" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["count", "--n", "3"], ["parse"], ["seq", "--nmax", "3"]]
+    )
+    @pytest.mark.parametrize(
+        "pattern", ["rel:\u00b2:{}", "cb:\u00b2:{1}", "chain:1\u00b23", "chain:(\u00b2)"]
+    )
+    def test_non_ascii_digit_is_usage_error(self, capsys, argv, pattern):
+        # "\u00b2".isdigit() is true, but int() refuses it
+        code, out, err = run(capsys, argv[0], "--pattern", pattern, *argv[1:])
+        assert (code, out) == (2, "")
+        assert "offset" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["count", "--n", "3"], ["parse"], ["seq", "--nmax", "3"]]
+    )
+    def test_number_past_the_int_str_digit_limit_is_usage_error(self, capsys, argv):
+        pattern = "rel:" + "9" * 5000 + ":{}"
+        with int_str_digits(4300):
+            code, out, err = run(capsys, argv[0], "--pattern", pattern, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == "popkit: number too long (5000 digits) at offset 4\n"
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import popkit.counting
+from popkit.counting import _covers
 from dfs_oracle import dfs_avoider_counts
 from oracles import catalan, naive_avoider_counts
 from poset_gen import cb_strategy, poset_strategy, seeded_posets
 from popkit import (
     CountSequence,
     InvalidInputError,
+    Permutation,
     ResourceLimitError,
     all_permutations,
     avoidance_sequence,
@@ -274,6 +276,76 @@ class TestPastTheGates:
         assert avoidance_sequence(block_fold(p1, p2), 11).values == want
         # A* = 1 + (x - 1) A as e.g.f.s, so C is symmetric in A1, A2.
         assert avoidance_sequence(block_fold(p2, p1), 11).values == want
+
+
+class TestPastTheGatesBySymmetry:
+    """At n = 11 the members of an orbit, and a chain word and its
+    inverse, walk different state sets but must count alike."""
+
+    @pytest.mark.parametrize("p", seeded_posets(20, 20261020, 6))
+    def test_orbit_members_agree_through_11(self, p):
+        want = avoidance_sequence(p, 11).values
+        for q in symmetry_orbit(p):
+            assert avoidance_sequence(q, 11).values == want, q
+
+    # pi avoids w exactly when its inverse avoids w's inverse; each word
+    # here has its inverse outside its own symmetry orbit
+    @pytest.mark.parametrize(
+        "word", [(1, 3, 4, 2), (2, 3, 1, 4), (2, 4, 3, 1), (3, 2, 4, 1)]
+    )
+    def test_chain_word_equals_its_inverse_through_11(self, word):
+        p, q = chain(word), chain(Permutation(word).inverse())
+        assert q not in symmetry_orbit(p)
+        assert avoidance_sequence(p, 11).values == avoidance_sequence(q, 11).values
+
+
+def inside(a, b):
+    """True when summary a's windows fit, one by one, inside b's: the
+    pairwise definition of pruning 1."""
+    return all(x >= y for x, y in zip(a[1], b[1])) and all(
+        x <= y for x, y in zip(a[2], b[2])
+    )
+
+
+def summary_lists():
+    """Up to 12 summaries (j, lows, highs) with j in {0, 1}, 0 to 3
+    coordinates, and bounds drawn from so few values that ties and equal
+    windows are common."""
+    return st.integers(0, 3).flatmap(
+        lambda dims: st.tuples(
+            st.just(dims),
+            st.lists(
+                st.tuples(
+                    st.integers(0, 1),
+                    st.tuples(*[st.integers(0, 3)] * dims),
+                    st.tuples(*[st.integers(1, 4)] * dims),
+                ),
+                max_size=12,
+            ),
+        )
+    )
+
+
+class TestCovers:
+    @settings(max_examples=300, deadline=None)
+    @given(summary_lists())
+    def test_equals_pairwise_definition(self, drawn):
+        dims, summaries = drawn
+        for j in (0, 1):
+            group = [i for i, s in enumerate(summaries) if s[0] == j]
+            want = {
+                a: sum(1 << b for b in group if b != a and inside(summaries[b], summaries[a]))
+                for a in group
+            }
+            assert _covers(summaries, group, dims) == want
+
+    def test_equal_windows_cover_each_other(self):
+        summaries = [(1, (0, 2), (3, 4))] * 2 + [(1, (1, 2), (3, 4))]
+        assert _covers(summaries, [0, 1, 2], 2) == {0: 0b110, 1: 0b101, 2: 0}
+
+    def test_no_coordinates_cover_the_whole_group(self):
+        summaries = [(2, (), ())] * 3
+        assert _covers(summaries, [0, 2], 0) == {0: 0b100, 2: 0b001}
 
 
 class TestCountQuasiAvoiders:
