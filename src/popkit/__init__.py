@@ -22,11 +22,8 @@ from .egf import (
     dc_pop_egf,
     egf_add,
     egf_exp,
-    egf_from_counts,
     egf_mul,
     egf_one,
-    egf_sequence,
-    egf_zero,
     quasi_transform,
 )
 from .errors import (
@@ -45,15 +42,7 @@ from .notation import (
     poset_text,
     render_pop,
 )
-from .perms import (
-    DEFAULT_CAP,
-    Permutation,
-    all_permutations,
-    complement,
-    inverse,
-    reduce,
-    reverse,
-)
+from .perms import DEFAULT_CAP, Permutation, reduce
 from .posets import (
     PatternFamily,
     Poset,
@@ -61,7 +50,6 @@ from .posets import (
     complete_bipartite,
     dc_pop,
     from_relations,
-    is_bipartite,
     label_complement,
     n_pattern,
     vertical_flip,
@@ -107,7 +95,6 @@ __all__ = [
     "TruncatedEgf",
     "WilfClass",
     "WilfReport",
-    "all_permutations",
     "avoidance_sequence",
     "avoids",
     "bipartite_dc_closed_form",
@@ -116,7 +103,6 @@ __all__ = [
     "chain",
     "chain_compose",
     "classify",
-    "complement",
     "complete_bipartite",
     "contains",
     "count_avoiders",
@@ -127,15 +113,10 @@ __all__ = [
     "dc_small",
     "egf_add",
     "egf_exp",
-    "egf_from_counts",
     "egf_mul",
     "egf_one",
-    "egf_sequence",
-    "egf_zero",
     "from_relations",
     "gf_coefficients",
-    "inverse",
-    "is_bipartite",
     "label_complement",
     "n_class1",
     "n_class1_closed_form",
@@ -154,7 +135,6 @@ __all__ = [
     "quasi_transform",
     "reduce",
     "render_pop",
-    "reverse",
     "symmetry_orbit",
     "theorem_sequence",
     "thm_b1_gf",

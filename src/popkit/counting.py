@@ -34,7 +34,8 @@ mirror this.  Three prunings keep the states few:
 2. a summary that needs more entries (k - j) than the walk will still
    append is dropped;
 3. the last level is never built: each state's avoiding children are
-   counted from the bitmask of ranks that complete p.
+   counted from the bitmask of ranks that complete p, so that level
+   builds only these forbid masks and no moves.
 
 A state with no summary left is empty, and its m + 1 children are all
 avoiders in the empty state again.  By pruning 2 the first level of a
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import InvalidInputError
-from .perms import DEFAULT_CAP, _check_cap
+from .perms import DEFAULT_CAP, _check_cap, _check_ints
 from .posets import Poset
 
 _SOURCES = ("brute-force", "theorem-name", "gf-expansion", "egf-expansion")
@@ -88,6 +89,7 @@ class CountSequence:
             raise InvalidInputError(f"unknown source {self.source!r}")
         if not self.values:
             raise InvalidInputError("a sequence needs at least a(0)")
+        _check_ints("count", self.values)
         if self.values[0] != 1:
             raise InvalidInputError("a(0) must be 1 (the empty permutation)")
         if any(v < 0 for v in self.values):
@@ -190,6 +192,8 @@ def _avoider_counts(p: Poset, n_max: int) -> list[int]:
             i = index.get(s)
             lo, hi = (0, m + 1) if i is None else (lows[i], highs[i])
             forbids.append((1 << hi + 1) - (1 << lo + 1) if s == k else 0)
+            if m == n_max - 1:
+                continue
             row, prev = [], 0
             for edge in sorted({b for b in lows + highs if b} | {m + 1}):
                 # Every rank r in (prev, edge] shifts the same bounds,

@@ -1,11 +1,14 @@
 """Exact truncated exponential-generating-function arithmetic.
 
 A TruncatedEgf holds the integer counts c(0..order) of a series
-sum c(n) x^n / n!.  The product is the binomial convolution: count n is
-one inner product of half of Pascal's row n (built from row n-1) with the
-pair sums f(i)g(n-i) + f(n-i)g(i).  Disjoint-chain rules live here too:
-the quasi-avoider transform A* = (x-1)A + 1, the one-extra-chain
-composition C = A + B A*, its right fold over m chains (the Horner form
+sum c(n) x^n / n!, and rejects any count that is not an int.  The sum
+and product are the functions egf_add and egf_mul; the one operator is
+subtraction, which only the closed form below uses.  The product is the
+binomial convolution: count n is one inner product of half of Pascal's
+row n (built from row n-1) with the pair sums f(i)g(n-i) + f(n-i)g(i).
+Disjoint-chain rules live here too: the quasi-avoider transform
+A* = (x-1)A + 1, the one-extra-chain composition C = A + B A*, its right
+fold over m chains (the Horner form
 A_1 + A_1*(A_2 + A_2*(... + A_(m-1)* A_m))), the closed form
 (1 - (1 + (x-1)e^x)^m) / (1-x) for m disjoint two-element chains, and
 the avoidance series of each chain itself.
@@ -18,9 +21,9 @@ from functools import reduce
 from operator import add, mul, sub
 from typing import Sequence
 
-from .counting import CountSequence, avoidance_sequence
+from .counting import avoidance_sequence
 from .errors import InvalidInputError
-from .perms import _check_length
+from .perms import _check_ints, _check_length
 from .posets import dc_pop
 
 DEFAULT_ORDER = 15
@@ -36,6 +39,7 @@ class TruncatedEgf:
         counts = tuple(self.counts)
         if not counts:
             raise InvalidInputError("need at least the order-0 count")
+        _check_ints("count", counts)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -45,15 +49,9 @@ class TruncatedEgf:
     def __getitem__(self, n: int) -> int:
         return self.counts[n]
 
-    def __add__(self, other: "TruncatedEgf") -> "TruncatedEgf":
-        return egf_add(self, other)
-
     def __sub__(self, other: "TruncatedEgf") -> "TruncatedEgf":
         _check_orders(self, other)
         return TruncatedEgf(tuple(map(sub, self.counts, other.counts)))
-
-    def __mul__(self, other: "TruncatedEgf") -> "TruncatedEgf":
-        return egf_mul(self, other)
 
 
 def _check_orders(f: TruncatedEgf, g: TruncatedEgf) -> None:
@@ -88,20 +86,10 @@ def egf_one(order: int = DEFAULT_ORDER) -> TruncatedEgf:
     return TruncatedEgf((1,) + (0,) * order)
 
 
-def egf_zero(order: int = DEFAULT_ORDER) -> TruncatedEgf:
-    """The zero series."""
-    _check_length(order)
-    return TruncatedEgf((0,) * (order + 1))
-
-
 def egf_exp(order: int = DEFAULT_ORDER) -> TruncatedEgf:
     """e^x: one object of every size (the 2-chain avoiders)."""
     _check_length(order)
     return TruncatedEgf((1,) * (order + 1))
-
-
-def egf_from_counts(counts: Sequence[int]) -> TruncatedEgf:
-    return TruncatedEgf(tuple(counts))
 
 
 def _check_unit(a: TruncatedEgf) -> None:
@@ -146,9 +134,9 @@ def chain_egf(word: tuple[int, ...], order: int, cap: int) -> TruncatedEgf:
         counts = [1]
         for n in range(order):
             counts.append(counts[n] * (4 * n + 2) // (n + 2))
-        return egf_from_counts(counts)
+        return TruncatedEgf(counts)
     seq = avoidance_sequence(dc_pop([word]), order, cap=cap)
-    return egf_from_counts(seq.values)
+    return TruncatedEgf(seq.values)
 
 
 def dc_pop_egf(chain_egfs: Sequence[TruncatedEgf]) -> TruncatedEgf:
@@ -186,8 +174,3 @@ def bipartite_dc_closed_form(m: int, order: int = DEFAULT_ORDER) -> TruncatedEgf
     for n in range(1, order + 1):
         counts.append(g.counts[n] + n * counts[n - 1])
     return TruncatedEgf(tuple(counts))
-
-
-def egf_sequence(f: TruncatedEgf, pattern: str) -> CountSequence:
-    """Package a series' counts as a named CountSequence."""
-    return CountSequence(pattern=pattern, values=f.counts, source="egf-expansion")

@@ -4,15 +4,15 @@ A permutation of length n is a bijection on {1..n} written as the word
 pi_1 pi_2 ... pi_n.  Everything downstream (pattern matching, avoidance
 counting) works on these objects, so the elementary transformations live
 here: reduction of an arbitrary distinct-entry sequence to its pattern,
-the complement/reverse/inverse symmetries, and capped exhaustive
-enumeration.
+and the complement/reverse/inverse symmetries.  So do the length cap
+and the integer rule, which every public type applies to the values it
+holds.
 
 Values and positions are one-indexed throughout.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -32,6 +32,15 @@ def _check_int(what: str, value) -> None:
     """Reject a value that breaks the integer rule."""
     if not _is_int(value):
         raise InvalidInputError(f"{what} is not an integer: {value!r}")
+
+
+def _check_ints(what: str, values: tuple) -> None:
+    """Reject the first value of a tuple that breaks the integer rule.
+    Plain ints, the common case, cost one C-level pass over their types."""
+    if set(map(type, values)) <= {int}:
+        return
+    for v in values:
+        _check_int(what, v)
 
 
 def _check_length(n: int) -> None:
@@ -136,26 +145,3 @@ def reduce(s: Sequence[int]) -> Permutation:
     _check_distinct(s)
     rank = {v: i for i, v in enumerate(sorted(s), start=1)}
     return Permutation(tuple(rank[v] for v in s))
-
-
-def complement(pi: Permutation) -> Permutation:
-    return pi.complement()
-
-
-def reverse(pi: Permutation) -> Permutation:
-    return pi.reverse()
-
-
-def inverse(pi: Permutation) -> Permutation:
-    return pi.inverse()
-
-
-def all_permutations(n: int, cap: int = DEFAULT_CAP) -> Iterator[Permutation]:
-    """Yield all n! permutations of {1..n} in lexicographic order.
-
-    Refuses n above the cap: the full sweep is factorial-time and a
-    larger request is almost certainly a mistake rather than a plan.
-    """
-    _check_cap(n, cap)
-    for entries in itertools.permutations(range(1, n + 1)):
-        yield Permutation(entries)

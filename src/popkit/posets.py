@@ -14,9 +14,10 @@ chains.  The two label symmetries that preserve avoidance counts
 (complementing the labels, dualizing the order) live here too.
 
 Relations are stored transitively closed; every constructed Poset is a
-valid strict partial order or the builder raises.  Closure, closedness
-and bipartiteness all come from R∘R: R is closed when R∘R ⊆ R,
-bipartite when R∘R is empty, and its closure is the fixpoint of R ∪ R∘R.
+valid strict partial order or the builder raises.  Closure and
+closedness both come from R∘R: R is closed when R∘R ⊆ R, and its
+closure is the fixpoint of R ∪ R∘R.  A bipartite R, one of two levels,
+has R∘R empty and so is closed as it stands.
 A direct Poset(...) call checks its input, which comes from outside, in
 full.  Every builder instead checks its own arguments and ends in the
 trusted constructor _trusted, which checks nothing: from_relations
@@ -100,10 +101,6 @@ class Poset:
     def __repr__(self) -> str:
         pairs = ",".join(f"({a},{b})" for a, b in sorted(self.relations))
         return f"Poset(k={self.k}, relations={{{pairs}}})"
-
-    def less(self, a: int, b: int) -> bool:
-        """True iff label a is below label b."""
-        return (a, b) in self.relations
 
 
 def _trusted(k: int, relations: Iterable[Pair]) -> Poset:
@@ -261,11 +258,6 @@ def label_complement(p: Poset) -> Poset:
 def vertical_flip(p: Poset) -> Poset:
     """Order dual: reverse every relation (avoidance-preserving)."""
     return _trusted(p.k, ((b, a) for a, b in p.relations))
-
-
-def is_bipartite(p: Poset) -> bool:
-    """True iff the poset has no chain of three labels (two levels only)."""
-    return not _compose(p.relations)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 from .counting import CountSequence
 from .errors import InvalidGfError, InvalidInputError
-from .perms import _check_int, _check_length
+from .perms import _check_int, _check_ints, _check_length
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ class RationalGf:
     def __post_init__(self):
         object.__setattr__(self, "numerator", tuple(self.numerator))
         object.__setattr__(self, "denominator", tuple(self.denominator))
+        _check_ints("coefficient", self.numerator + self.denominator)
         if not self.denominator or self.denominator[0] == 0:
             raise InvalidGfError(
                 "denominator constant term is zero; no power-series expansion"

@@ -10,6 +10,7 @@ from itertools import permutations
 from oracles import naive_occurrences
 from poset_gen import seeded_posets
 from popkit import (
+    TruncatedEgf,
     avoidance_sequence,
     bipartite_dc_closed_form,
     chain,
@@ -21,7 +22,6 @@ from popkit import (
     dc_pop,
     dc_pop_egf,
     egf_exp,
-    egf_from_counts,
     from_relations,
     label_complement,
     n_class1,
@@ -142,7 +142,7 @@ def test_c09_series_calculus_matches_search():
         closed = bipartite_dc_closed_form(m, order=n_max)
         assert closed.counts == got, m
     catalan = [1, 1, 2, 5, 14, 42, 132, 429]
-    series = dc_pop_egf([egf_from_counts(catalan), egf_exp(7)])
+    series = dc_pop_egf([TruncatedEgf(catalan), egf_exp(7)])
     assert series.counts == brute(dc_pop([(1, 2, 3), (2, 1)]), 7)
 
 

@@ -21,11 +21,8 @@ from popkit import (
     dc_pop_egf,
     egf_add,
     egf_exp,
-    egf_from_counts,
     egf_mul,
     egf_one,
-    egf_sequence,
-    egf_zero,
     parse_pop,
     quasi_transform,
 )
@@ -45,7 +42,7 @@ def comb_product(f, g):
 
 
 def catalan_series(order):
-    return egf_from_counts(catalan(order))
+    return TruncatedEgf(catalan(order))
 
 
 def running_product_dc_egf(chain_egfs):
@@ -59,7 +56,7 @@ def running_product_dc_egf(chain_egfs):
             raise InvalidInputError(
                 f"truncation orders differ: {order} vs {f.order}"
             )
-    total = egf_zero(order)
+    total = TruncatedEgf((0,) * (order + 1))
     running = egf_one(order)
     for f in chain_egfs:
         total = egf_add(total, egf_mul(f, running))
@@ -91,14 +88,14 @@ def random_series(rng, order, unit=True):
         f = catalan_series(order)
     elif kind == "brute":
         word = rng.choice(BRUTE_WORDS)
-        f = egf_from_counts(brute_chain_counts(word)[: order + 1])
+        f = TruncatedEgf(brute_chain_counts(word)[: order + 1])
     else:
-        f = egf_from_counts(
+        f = TruncatedEgf(
             [1] + [rng.randint(-10**6, 10**6) for _ in range(order)]
         )
     if unit:
         return f
-    return egf_from_counts((rng.choice([0, 2, -1]),) + f.counts[1:])
+    return TruncatedEgf((rng.choice([0, 2, -1]),) + f.counts[1:])
 
 
 def outcome(call):
@@ -115,9 +112,22 @@ class TestArithmetic:
             TruncatedEgf(())
         assert str(info.value) == "need at least the order-0 count"
 
+    @pytest.mark.parametrize(
+        "counts, bad", [((1.5, 2), "1.5"), ((1, True), "True"), (("1",), "'1'")]
+    )
+    def test_counts_must_be_ints(self, counts, bad):
+        with pytest.raises(InvalidInputError) as info:
+            TruncatedEgf(counts)
+        assert str(info.value) == f"count is not an integer: {bad}"
+
+    def test_truncated_egf_indexing(self):
+        f = TruncatedEgf((1, 1, 2))
+        assert f.order == 2
+        assert f[2] == 2
+
     def test_add_is_termwise(self):
-        a = egf_from_counts([1, 2, 3])
-        b = egf_from_counts([4, 5, 6])
+        a = TruncatedEgf([1, 2, 3])
+        b = TruncatedEgf([4, 5, 6])
         assert egf_add(a, b).counts == (5, 7, 9)
 
     def test_mul_is_binomial_convolution(self):
@@ -126,19 +136,15 @@ class TestArithmetic:
         assert egf_mul(ex, ex).counts == tuple(2**n for n in range(11))
 
     def test_one_is_multiplicative_identity(self):
-        a = egf_from_counts([1, 4, 9, 16])
+        a = TruncatedEgf([1, 4, 9, 16])
         assert egf_mul(a, egf_one(3)).counts == a.counts
 
-    def test_zero_is_additive_identity(self):
-        a = egf_from_counts([1, 4, 9])
-        assert egf_add(a, egf_zero(2)).counts == a.counts
-
     def test_operators_match_functions(self):
-        a = egf_from_counts([1, 2, 3])
-        b = egf_from_counts([1, 0, 1])
-        assert (a + b).counts == egf_add(a, b).counts
-        assert (a * b).counts == egf_mul(a, b).counts
+        # subtraction, the one operator, adds the negated series
+        a = TruncatedEgf([1, 2, 3])
+        b = TruncatedEgf([1, 0, 1])
         assert (a - b).counts == (0, 2, 2)
+        assert (a - b) == egf_add(a, TruncatedEgf([-c for c in b.counts]))
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -149,9 +155,9 @@ class TestArithmetic:
     @given(counts_lists, counts_lists, counts_lists)
     def test_mul_associative_and_commutative(self, xs, ys, zs):
         order = min(len(xs), len(ys), len(zs)) - 1
-        a = egf_from_counts(xs[: order + 1])
-        b = egf_from_counts(ys[: order + 1])
-        c = egf_from_counts(zs[: order + 1])
+        a = TruncatedEgf(xs[: order + 1])
+        b = TruncatedEgf(ys[: order + 1])
+        c = TruncatedEgf(zs[: order + 1])
         assert egf_mul(a, b).counts == egf_mul(b, a).counts
         assert (
             egf_mul(egf_mul(a, b), c).counts
@@ -165,7 +171,6 @@ class TestArithmetic:
         "series",
         [
             egf_one,
-            egf_zero,
             egf_exp,
             pytest.param(
                 partial(bipartite_dc_closed_form, 2),
@@ -185,7 +190,7 @@ class TestProduct:
     def test_equals_comb_definition(self, order, data):
         same_order = st.lists(wide_counts, min_size=order + 1, max_size=order + 1)
         f, g = data.draw(same_order), data.draw(same_order)
-        got = egf_mul(egf_from_counts(f), egf_from_counts(g)).counts
+        got = egf_mul(TruncatedEgf(f), TruncatedEgf(g)).counts
         assert got == comb_product(f, g)
 
     @pytest.mark.parametrize("order", range(31))
@@ -196,7 +201,7 @@ class TestProduct:
             for _ in range(2)
         )
         assert max(map(abs, f + g)) > 10**300
-        got = egf_mul(egf_from_counts(f), egf_from_counts(g)).counts
+        got = egf_mul(TruncatedEgf(f), TruncatedEgf(g)).counts
         assert got == comb_product(f, g)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -234,7 +239,7 @@ class TestProduct:
 
 class TestQuasiTransform:
     def test_coefficient_rule(self):
-        a = egf_from_counts([1, 1, 2, 6, 24])
+        a = TruncatedEgf([1, 1, 2, 6, 24])
         q = quasi_transform(a)
         assert q.counts[0] == 0
         for n in range(1, 5):
@@ -247,12 +252,12 @@ class TestQuasiTransform:
 
     def test_requires_unit_constant_term(self):
         with pytest.raises(InvalidInputError):
-            quasi_transform(egf_from_counts([0, 1, 2]))
+            quasi_transform(TruncatedEgf([0, 1, 2]))
 
     def test_matches_direct_quasi_count(self):
         p = complete_bipartite(4, {1, 2})
         seq = avoidance_sequence(p, 8)
-        q = quasi_transform(egf_from_counts(seq.values))
+        q = quasi_transform(TruncatedEgf(seq.values))
         for n in range(1, 9):
             assert q.counts[n] == count_quasi_avoiders(p, n)
 
@@ -337,7 +342,7 @@ class TestRightFold:
 
     def test_order_error_wins_over_constant_term(self):
         # every order is checked before any a(0), as in the running product
-        series = [egf_from_counts([0, 1, 2]), egf_exp(2), egf_exp(3)]
+        series = [TruncatedEgf([0, 1, 2]), egf_exp(2), egf_exp(3)]
         got = outcome(lambda: dc_pop_egf(series))
         assert got == outcome(lambda: running_product_dc_egf(series))
         assert got == (InvalidInputError, "truncation orders differ: 2 vs 3")
@@ -369,16 +374,3 @@ class TestBipartiteClosedForm:
     def test_bad_m(self):
         with pytest.raises(InvalidInputError):
             bipartite_dc_closed_form(0)
-
-
-class TestEgfSequence:
-    def test_wraps_counts(self):
-        f = bipartite_dc_closed_form(2, order=6)
-        seq = egf_sequence(f, "dc:[12|34]")
-        assert seq.source == "egf-expansion"
-        assert seq.values == f.counts
-
-    def test_truncated_egf_indexing(self):
-        f = TruncatedEgf((1, 1, 2))
-        assert f.order == 2
-        assert f[2] == 2

@@ -117,7 +117,7 @@ class TestBuild:
 
     def test_rel_applies_closure(self):
         p = pop_from_text("rel:3:{(1,2),(2,3)}")
-        assert p.less(1, 3)
+        assert (1, 3) in p.relations
 
     def test_semantic_error_not_parse_error(self):
         # bad word shape parses fine but cannot build

@@ -17,7 +17,6 @@ from popkit import (
     complete_bipartite,
     dc_pop,
     from_relations,
-    is_bipartite,
     label_complement,
     n_pattern,
     vertical_flip,
@@ -28,7 +27,7 @@ from popkit import (
 class TestFromRelations:
     def test_transitive_closure_applied(self):
         p = from_relations(3, [(1, 2), (2, 3)])
-        assert p.less(1, 3)
+        assert (1, 3) in p.relations
         assert p.relations == frozenset({(1, 2), (2, 3), (1, 3)})
 
     def test_antichain(self):
@@ -114,7 +113,7 @@ class TestFromRelations:
     def test_huge_size_checks_only_the_relations(self):
         # Irreflexivity scans the pairs, not the labels 1..k.
         k = 10**20
-        assert from_relations(k, [(7, 9), (9, 8)]).less(7, 8)
+        assert (7, 8) in from_relations(k, [(7, 9), (9, 8)]).relations
         with pytest.raises(InvalidPosetError, match="through label 5$"):
             from_relations(k, [(9, 9), (6, 5), (5, 6), (k, k)])
 
@@ -159,7 +158,7 @@ def reference_from_relations(k, pairs):
 
 
 def below_something_scan(rels):
-    """The former is_bipartite: no label is both below and above another."""
+    """Bipartiteness by a scan: no label is both below and above another."""
     below_something = {a for a, _ in rels}
     return not any(b in below_something for _, b in rels)
 
@@ -209,8 +208,8 @@ def random_pair_lists(count=300, max_k=9, seed=6):
 
 
 class TestStrictOrderCheck:
-    """The R∘R closure, closedness check and bipartiteness against the
-    Warshall closure and the former scan."""
+    """The R∘R closure and closedness check against the Warshall
+    closure."""
 
     def test_poset_accepts_exactly_strict_orders(self):
         for k, rels in relation_sets(3):
@@ -223,7 +222,6 @@ class TestStrictOrderCheck:
             elif irreflexive:
                 p = Poset(k, rels)
                 assert p.relations == rels
-                assert is_bipartite(p) == below_something_scan(rels)
             else:
                 with pytest.raises(InvalidPosetError, match="cycle"):
                     Poset(k, rels)
@@ -246,7 +244,6 @@ class TestStrictOrderCheck:
                 results.add("ok")
                 p = Poset(k, expected)
                 assert p.relations == expected
-                assert is_bipartite(p) == below_something_scan(expected)
             else:
                 results.add(expected[0])
         assert results == {"ok", InvalidInputError, InvalidPosetError}
@@ -260,7 +257,7 @@ class TestBuilders:
     def test_chain_word_gives_word_order(self):
         # letters compare as values: the word is which slot holds which rank
         p = chain((2, 1, 3))
-        assert p.less(2, 1) and p.less(1, 3) and p.less(2, 3)
+        assert {(2, 1), (1, 3), (2, 3)} <= p.relations
 
     @pytest.mark.parametrize("k", range(7))
     def test_chain_relations_are_every_ordered_pair(self, k):
@@ -285,7 +282,7 @@ class TestBuilders:
     def test_complete_bipartite(self):
         p = complete_bipartite(4, {1, 2})
         assert p.relations == frozenset({(3, 1), (3, 2), (4, 1), (4, 2)})
-        assert is_bipartite(p)
+        assert below_something_scan(p.relations)
 
     def test_complete_bipartite_rejects_bad_sets(self):
         with pytest.raises(InvalidInputError):
@@ -484,17 +481,6 @@ class TestTrustedConstructor:
                 from_relations(k, pairs)
         else:
             assert_passes_checks(from_relations(k, pairs))
-
-
-class TestIsBipartite:
-    def test_two_level_poset(self):
-        assert is_bipartite(complete_bipartite(5, {2, 4}))
-
-    def test_chain_of_three_is_not(self):
-        assert not is_bipartite(chain((1, 2, 3)))
-
-    def test_antichain_is(self):
-        assert is_bipartite(from_relations(3, []))
 
 
 class TestPatternFamily:

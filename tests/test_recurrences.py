@@ -44,6 +44,20 @@ class TestRationalGf:
         with pytest.raises(InvalidGfError):
             gf.expand(3)
 
+    @pytest.mark.parametrize(
+        "num, den, bad",
+        [
+            ((1,), (1.0, -1), "1.0"),
+            ((0.5,), (1, -1), "0.5"),
+            ((True,), (1, -1), "True"),
+            (("1",), (1,), "'1'"),
+        ],
+    )
+    def test_coefficients_must_be_ints(self, num, den, bad):
+        with pytest.raises(InvalidInputError) as info:
+            RationalGf(num, den)
+        assert str(info.value) == f"coefficient is not an integer: {bad}"
+
     def test_gf_coefficients_source(self):
         seq = gf_coefficients(RationalGf((1,), (1, -1)), 4)
         assert seq.source == "gf-expansion"
